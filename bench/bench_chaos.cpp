@@ -4,8 +4,9 @@
 //
 // Two questions, one number each:
 //   * rounds/sec — does the chaos layer slow the engine down? (The verdicts
-//     are pure hash mixes; routing goes per-receiver when a schedule is
-//     installed, so some cost is expected and this tracks it.)
+//     are pure hash mixes, one per link in every round a phase covers; the
+//     burst covers most of each run, so some cost is expected and this
+//     tracks it.)
 //   * recovery rounds — how many EXTRA rounds does consensus need to
 //     terminate because of the loss burst, averaged over a seed sweep. The
 //     burst spans rounds 2-11; with n > 3f every run still terminates, it

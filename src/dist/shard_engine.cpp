@@ -10,10 +10,22 @@ namespace idonly {
 void ShardEngine::add_process(std::unique_ptr<Process> process) {
   if (process == nullptr) throw std::invalid_argument("add_process: null process");
   const NodeId id = process->id();
-  const bool queued = std::any_of(pending_joins_.begin(), pending_joins_.end(),
-                                  [id](const auto& p) { return p->id() == id; });
-  if (members_.contains(id) || queued) {
-    throw std::invalid_argument("add_process: duplicate live node id " + std::to_string(id));
+  const bool leaving =
+      std::find(pending_removals_.begin(), pending_removals_.end(), id) != pending_removals_.end();
+  if (leaving) {
+    // Re-use of an id whose removal is queued: the removal takes effect now,
+    // exactly as in SyncSimulator::add_process.
+    members_.erase(id);
+    std::erase_if(pending_joins_,
+                  [id](const std::unique_ptr<Process>& p) { return p->id() == id; });
+    delayed_.purge(id);
+    std::erase(pending_removals_, id);
+  } else {
+    const bool queued = std::any_of(pending_joins_.begin(), pending_joins_.end(),
+                                    [id](const auto& p) { return p->id() == id; });
+    if (members_.contains(id) || queued) {
+      throw std::invalid_argument("add_process: duplicate live node id " + std::to_string(id));
+    }
   }
   pending_joins_.push_back(std::move(process));
 }
@@ -28,9 +40,7 @@ void ShardEngine::begin_round() {
     members_.erase(id);
     std::erase_if(pending_joins_,
                   [id](const std::unique_ptr<Process>& p) { return p->id() == id; });
-    for (auto& [due, entries] : delayed_) {
-      std::erase_if(entries, [id](const auto& entry) { return entry.first == id; });
-    }
+    delayed_.purge(id);
   }
   pending_removals_.clear();
 
@@ -49,21 +59,28 @@ void ShardEngine::begin_round() {
 
   // Synchrony-fault-delayed messages land AFTER last round's routed traffic
   // (fresh keys off the advanced counter), preserving back-of-inbox order.
-  for (auto it = delayed_.begin(); it != delayed_.end() && it->first <= round_;) {
-    for (auto& [to, ref] : it->second) {
-      auto member = members_.find(to);
-      if (member == members_.end()) continue;
-      if (!member->second.mailbox.deposit(ref, seq_++)) metrics_.fanout.dedup_hits += 1;
-    }
-    it = delayed_.erase(it);
-  }
+  delayed_.release(
+      round_,
+      [this](NodeId to) {
+        const auto member = members_.find(to);
+        return member == members_.end() ? nullptr : &member->second.mailbox;
+      },
+      seq_, metrics_.fanout);
+
+  // Flip lanes: last round's broadcasts are read now; finish_round fills
+  // the other lane.
+  const BroadcastLane& deliver_lane = lanes_[fill_lane_];
+  fill_lane_ ^= 1;
+  lanes_[fill_lane_].clear();
 
   // Dispatch arena, ascending by id (std::map order). Capacity reused.
   if (dispatches_.size() > members_.size()) dispatches_.resize(members_.size());
   dispatches_.reserve(members_.size());
+  targets_.clear();
   std::size_t slot = 0;
   for (auto& [id, member] : members_) {
     if (slot == dispatches_.size()) dispatches_.emplace_back();
+    targets_.push_back({id, &member.mailbox});
     Dispatch& dispatch = dispatches_[slot++];
     dispatch.id = id;
     dispatch.member = &member;
@@ -72,24 +89,24 @@ void ShardEngine::begin_round() {
   }
 
   // Inbox assembly for every member BEFORE anyone steps (lock-step
-  // semantics). There is no shared broadcast lane — every deposit went
-  // through the per-receiver path — so collect() runs against a null lane.
-  // Delivery records flush before the merge stages send/verdict records,
-  // matching the reference engine's per-ring capture order.
+  // semantics). A member admitted this round was not a receiver of last
+  // round's broadcasts, so it reads no lane. Delivery records flush before
+  // the merge stages send/verdict records, matching the reference engine's
+  // per-ring capture order.
   for (Dispatch& dispatch : dispatches_) {
     Member& member = *dispatch.member;
-    dispatch.inbox = member.mailbox.collect(static_cast<const BroadcastLane*>(nullptr),
-                                            member.scratch, &metrics_.fanout,
-                                            &metrics_.messages);
+    const BroadcastLane* lane = member.joined_round == round_ ? nullptr : &deliver_lane;
+    dispatch.inbox =
+        member.mailbox.collect(lane, member.scratch, &metrics_.fanout, &metrics_.messages);
     if (recorder_) {
       for (const Message& msg : dispatch.inbox) {
-        trace_stage_.push_back(make_deliver_record(dispatch.id, round_, msg.sender));
+        stage_.trace.push_back(make_deliver_record(dispatch.id, round_, msg.sender));
       }
     }
   }
   if (recorder_) {
-    recorder_->record_batch(trace_stage_);
-    trace_stage_.clear();
+    recorder_->record_batch(stage_.trace);
+    stage_.trace.clear();
   }
 
   // Step every local process, stamp identities, wrap, and lay the round's
@@ -109,31 +126,6 @@ void ShardEngine::begin_round() {
   }
 }
 
-void ShardEngine::deposit_private(NodeId from, NodeId to, Member& member,
-                                  const MessageRef& ref, std::uint64_t key) {
-  Round extra = 0;
-  if (chaos_) {
-    const std::uint64_t link_seq = link_seq_[{from, to}]++;
-    const LinkEvent event{round_, from, to, link_seq};
-    const FaultDecision verdict = chaos_->peek(event);
-    if (verdict.faulted()) chaos_stage_.emplace_back(event, verdict);
-    if (recorder_) trace_stage_.push_back(make_link_verdict_record(event, verdict));
-    if (verdict.drop) return;
-    if (verdict.duplicate) {
-      // Second copy at `key`: duplicate-before-primary, the sequential
-      // engine's deposit order. It dies in mailbox dedup; the decision is
-      // what must reproduce, and it is in the trace.
-      if (!member.mailbox.deposit(ref, key)) metrics_.fanout.dedup_hits += 1;
-    }
-    extra = verdict.delay_rounds;
-  }
-  if (extra > 0) {
-    delayed_stage_.push_back({round_ + 1 + extra, to, ref});
-    return;
-  }
-  if (!member.mailbox.deposit(ref, key + 1)) metrics_.fanout.dedup_hits += 1;
-}
-
 void ShardEngine::finish_round(std::span<const std::vector<Send>> remote_streams) {
   // K-way merge on sender id. Stream 0 is the local traffic; each remote
   // stream is one shard's visible slab. Streams are internally ascending by
@@ -146,6 +138,8 @@ void ShardEngine::finish_round(std::span<const std::vector<Send>> remote_streams
   for (std::size_t s = 0; s < remote_streams.size(); ++s) streams[s + 1] = remote_streams[s];
   std::vector<std::size_t> heads(k, 0);
 
+  BroadcastLane& lane = lanes_[fill_lane_];
+  router_.begin_round(round_, chaos_.get(), nullptr, recorder_ && chaos_, targets_);
   std::uint64_t ordinal = 0;
   for (;;) {
     std::size_t pick = k;
@@ -161,7 +155,6 @@ void ShardEngine::finish_round(std::span<const std::vector<Send>> remote_streams
     if (pick == k) break;
     const Send& send = streams[pick][heads[pick]++];
     const bool local_sender = pick == 0;
-    const NodeId from = send.ref->sender;
     // Two deposit keys per visible ordinal: chaos duplicate at `key`,
     // primary at `key + 1`. Only relative order per mailbox is observable,
     // so the gaps left by traffic this shard never sees are free.
@@ -170,39 +163,23 @@ void ShardEngine::finish_round(std::span<const std::vector<Send>> remote_streams
     if (local_sender) {
       metrics_.messages.sent[static_cast<std::size_t>(send.ref->kind)] += 1;
       metrics_.fanout.unique_payloads += 1;
-      if (recorder_) trace_stage_.push_back(make_send_record(from, round_, send.to));
+      if (recorder_) stage_.trace.push_back(make_send_record(send.ref->sender, round_, send.to));
     }
-    if (send.to.has_value()) {
-      // Unicast: deposited only when this shard hosts the recipient. A
-      // recipient that is remote — or gone — gets nothing here.
-      const auto it = std::lower_bound(
-          dispatches_.begin(), dispatches_.end(), *send.to,
-          [](const Dispatch& d, NodeId v) { return d.id < v; });
-      if (it != dispatches_.end() && it->id == *send.to) {
-        deposit_private(from, *send.to, *it->member, send.ref, key);
-      }
-    } else {
-      for (Dispatch& dispatch : dispatches_) {
-        deposit_private(from, dispatch.id, *dispatch.member, send.ref, key);
-      }
-    }
+    // Every broadcast enters this shard's lane; a unicast to a remote (or
+    // departed) recipient finds no local target and is skipped.
+    router_.route(stage_, send.ref, send.to, key, &lane, local_sender);
   }
 
   // Sequential epilogue, mirroring SyncSimulator's lane fold.
-  if (chaos_) chaos_->commit_batch(chaos_stage_);
-  if (recorder_) recorder_->record_batch(trace_stage_);
-  for (Delayed& delayed : delayed_stage_) {
-    delayed_[delayed.due].emplace_back(delayed.to, std::move(delayed.ref));
-  }
+  metrics_.fanout += stage_.fanout;
+  if (chaos_) chaos_->commit_batch(stage_.faults);
+  if (recorder_) recorder_->record_batch(stage_.trace);
+  delayed_.hold(stage_.delayed);
   for (const Dispatch& dispatch : dispatches_) {
     if (dispatch.became_done) metrics_.done_round[dispatch.id] = round_;
   }
   seq_ += 2 * ordinal;
-
-  link_seq_.clear();  // link-event sequence numbers are per sent-round
-  trace_stage_.clear();
-  chaos_stage_.clear();
-  delayed_stage_.clear();
+  stage_.clear();
   local_sends_.clear();
 }
 

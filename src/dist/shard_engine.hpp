@@ -1,16 +1,17 @@
 // One shard's slice of the synchronous round engine.
 //
 // A ShardEngine holds the processes a shard worker owns and replays exactly
-// the per-receiver round semantics of SyncSimulator (net/sync_simulator.hpp)
-// restricted to its local members. A round splits in two:
+// the round semantics of SyncSimulator (net/sync_simulator.hpp) restricted
+// to its local members. A round splits in two:
 //
 //   begin_round()   removals → joins → delayed flush → inbox assembly →
 //                   process stepping → local outboxes wrapped and exposed as
 //                   local_sends() (ascending sender id, outbox order)
 //   finish_round()  merge the round's GLOBAL traffic — the local sends plus
-//                   one decoded stream per remote shard — and deposit into
-//                   local mailboxes with the same deterministic keys the
-//                   in-process engines use.
+//                   one decoded stream per remote shard — and route it with
+//                   the shared Router (net/router.hpp) into this shard's
+//                   broadcast lane and local mailboxes, with the same
+//                   deterministic keys the in-process engine uses.
 //
 // Determinism argument (DESIGN.md §12): the global send order is "ascending
 // sender id, then outbox position". Each stream (local, or one per remote
@@ -21,17 +22,17 @@
 // only their RELATIVE order per mailbox is observable, so the gaps left by
 // traffic this shard never sees are free, exactly like the gaps unfaulted
 // messages leave in the parallel engine's key space. Chaos verdicts are pure
-// functions of (seed, round, from, to, per-link seq) and the per-link seq is
-// counted at the receiving shard over that same merged order, so verdicts,
+// functions of (seed, round, from, to, per-link seq) and the router counts
+// the per-link seq per sender over that same merged order, so verdicts,
 // link trace records, and the canonical export reproduce the single-process
 // run byte for byte.
 //
-// The engine always routes per receiver (no shared broadcast lane): that is
-// the path SyncSimulator forces whenever a chaos schedule is installed, so
-// inboxes — and with a recorder, per-node trace rings — match the reference
-// engine on chaos scenarios exactly; on chaos-free scenarios the inbox
-// CONTENT still matches (only the dedup-hit counter can differ, since lane
-// dedup is global and mailbox dedup is per receiver).
+// Routing is the in-process engine's, not a copy of it: every broadcast goes
+// once into a double-buffered BroadcastLane that all local members read, and
+// a fault leaves only a sparse per-receiver exception. Inboxes, per-node
+// trace rings and `dedup_hits` therefore match SyncSimulator on clean and
+// chaos runs alike; a lane-deduplicated broadcast counts its hit on the
+// sender's shard only, so the fleet's sum equals the in-process count.
 #pragma once
 
 #include <map>
@@ -47,6 +48,7 @@
 #include "common/types.hpp"
 #include "net/mailbox.hpp"
 #include "net/process.hpp"
+#include "net/router.hpp"
 
 namespace idonly {
 
@@ -60,7 +62,9 @@ class ShardEngine {
   };
 
   /// Register a process; it participates from the next begun round. Throws
-  /// std::invalid_argument on a duplicate live or queued id.
+  /// std::invalid_argument on a duplicate live or queued id. Re-using the id
+  /// of a process queued for removal is allowed: that removal takes effect
+  /// at once (SyncSimulator::add_process's behaviour).
   void add_process(std::unique_ptr<Process> process);
   /// Remove a process at the start of the next begun round.
   void remove_process(NodeId id);
@@ -111,13 +115,11 @@ class ShardEngine {
     bool became_done = false;
   };
 
-  void deposit_private(NodeId from, NodeId to, Member& member, const MessageRef& ref,
-                       std::uint64_t key);
-
   std::map<NodeId, Member> members_;
   std::vector<std::unique_ptr<Process>> pending_joins_;
   std::vector<NodeId> pending_removals_;
   std::vector<Dispatch> dispatches_;
+  std::vector<RouteTarget> targets_;  ///< dispatches_' receivers, same order
   std::vector<Send> local_sends_;
 
   Round round_ = 0;
@@ -126,18 +128,13 @@ class ShardEngine {
   std::shared_ptr<ChaosSchedule> chaos_;
   std::shared_ptr<TraceRecorder> recorder_;
 
-  // Per-round staging, folded in finish_round (mirrors SyncSimulator's
-  // single-lane arena).
-  std::map<std::pair<NodeId, NodeId>, std::uint64_t> link_seq_;
-  std::vector<TraceRecord> trace_stage_;
-  std::vector<std::pair<LinkEvent, FaultDecision>> chaos_stage_;
-  struct Delayed {
-    Round due = 0;
-    NodeId to = 0;
-    MessageRef ref;
-  };
-  std::vector<Delayed> delayed_stage_;
-  std::map<Round, std::vector<std::pair<NodeId, MessageRef>>> delayed_;
+  // The lane filled by the last finish_round is read by this round's
+  // inboxes while this round's finish_round fills the other.
+  BroadcastLane lanes_[2];
+  int fill_lane_ = 0;
+  Router router_;
+  RouteStage stage_;  ///< per-round staging, folded in finish_round
+  DelayQueue delayed_;
 };
 
 }  // namespace idonly

@@ -2,9 +2,9 @@
 //
 // The schedule itself is engine-agnostic (a pure verdict per LinkEvent);
 // these helpers translate each engine's native hook into link events so the
-// SAME schedule replays the SAME faults everywhere. The sync simulator's
-// adapter lives on the class (SyncSimulator::set_chaos — it needs the
-// per-receiver routing internals); this header covers the async engine.
+// SAME schedule replays the SAME faults everywhere. The sync engines apply
+// verdicts in their shared router (net/router.hpp, reached through
+// SyncSimulator::set_chaos); this header covers the async engine.
 #pragma once
 
 #include <memory>

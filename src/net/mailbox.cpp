@@ -1,5 +1,7 @@
 #include "net/mailbox.hpp"
 
+#include <algorithm>
+
 #include "net/codec.hpp"
 
 namespace idonly {
@@ -81,18 +83,30 @@ bool Mailbox::deposit(MessageRef ref, std::uint64_t seq) {
   return true;
 }
 
+void Mailbox::withhold(MessageRef ref, std::uint64_t seq) {
+  withheld_.emplace_back(seq, std::move(ref));
+}
+
+bool Mailbox::withholds(const MessageRef& ref) const {
+  for (auto it = withheld_.rbegin(); it != withheld_.rend() && it->second->sender == ref->sender;
+       ++it) {
+    if (it->second == ref) return true;
+  }
+  return false;
+}
+
 namespace {
 
 /// The merge shared by both lane flavours: Lane needs the BroadcastLane read
 /// interface (empty/view/refs/seqs/contains/kind_counts/wire_bytes).
 template <typename Lane>
-std::span<const Message> collect_impl(std::vector<MessageRef>& entries,
-                                      std::vector<std::uint64_t>& seqs,
-                                      std::unordered_set<MessageRef, MessageRefHash>& seen,
-                                      const Lane* lane, std::vector<Message>& scratch,
-                                      FanoutCounters* fanout, MessageCounters* counters) {
+std::span<const Message> collect_impl(
+    std::vector<MessageRef>& entries, std::vector<std::uint64_t>& seqs,
+    std::unordered_set<MessageRef, MessageRefHash>& seen,
+    std::vector<std::pair<std::uint64_t, MessageRef>>& withheld, const Lane* lane,
+    std::vector<Message>& scratch, FanoutCounters* fanout, MessageCounters* counters) {
   // Fast path: nothing receiver-specific — share the lane's view outright.
-  if (entries.empty()) {
+  if (entries.empty() && withheld.empty()) {
     if (lane == nullptr || lane->empty()) return {};
     const auto view = lane->view();
     if (fanout != nullptr) {
@@ -110,14 +124,20 @@ std::span<const Message> collect_impl(std::vector<MessageRef>& entries,
     return view;
   }
 
-  // Slow path: merge lane and private entries by send order. A private
-  // entry whose content already sits in the lane is the "broadcast + unicast
-  // of the same message" duplicate — suppressed, like the per-receiver dedup
-  // of old, but against the cached hash.
+  // Slow path: merge lane and private entries by send order, skipping the
+  // lane entries withheld from this receiver. A private entry whose content
+  // the lane delivers here is the "broadcast + unicast of the same message"
+  // duplicate — suppressed against the cached hash. Content the lane
+  // withholds does not count: the private copy is then the only one.
   const std::span<const MessageRef> lane_refs =
       lane != nullptr ? lane->refs() : std::span<const MessageRef>{};
   const std::span<const std::uint64_t> lane_seqs =
       lane != nullptr ? lane->seqs() : std::span<const std::uint64_t>{};
+  const auto lane_delivers = [&](const MessageRef& ref) {
+    if (lane == nullptr || !lane->contains(ref)) return false;
+    return std::none_of(withheld.begin(), withheld.end(),
+                        [&](const auto& entry) { return entry.second == ref; });
+  };
   scratch.clear();
   scratch.reserve(lane_refs.size() + entries.size());
   const auto push = [&](const MessageRef& ref) {
@@ -130,13 +150,19 @@ std::span<const Message> collect_impl(std::vector<MessageRef>& entries,
   };
   std::size_t i = 0;
   std::size_t j = 0;
+  std::size_t w = 0;  // withheld cursor: ascending seqs, like the lane's
   while (i < lane_refs.size() || j < entries.size()) {
     const bool take_lane = j >= entries.size() || (i < lane_refs.size() && lane_seqs[i] < seqs[j]);
     if (take_lane) {
-      push(lane_refs[i]);
+      while (w < withheld.size() && withheld[w].first < lane_seqs[i]) w += 1;
+      if (w < withheld.size() && withheld[w].first == lane_seqs[i]) {
+        w += 1;
+      } else {
+        push(lane_refs[i]);
+      }
       i += 1;
     } else {
-      if (lane != nullptr && lane->contains(entries[j])) {
+      if (lane_delivers(entries[j])) {
         if (fanout != nullptr) fanout->dedup_hits += 1;
       } else {
         push(entries[j]);
@@ -146,7 +172,8 @@ std::span<const Message> collect_impl(std::vector<MessageRef>& entries,
   }
   entries.clear();
   seqs.clear();
-  seen.clear();
+  if (!seen.empty()) seen.clear();
+  withheld.clear();
   if (fanout != nullptr && !scratch.empty()) fanout->slab_sends += 1;
   return scratch;
 }
@@ -156,13 +183,13 @@ std::span<const Message> collect_impl(std::vector<MessageRef>& entries,
 std::span<const Message> Mailbox::collect(const BroadcastLane* lane,
                                           std::vector<Message>& scratch, FanoutCounters* fanout,
                                           MessageCounters* counters) {
-  return collect_impl(entries_, seqs_, seen_, lane, scratch, fanout, counters);
+  return collect_impl(entries_, seqs_, seen_, withheld_, lane, scratch, fanout, counters);
 }
 
 std::span<const Message> Mailbox::collect(const ShardedLane* lane,
                                           std::vector<Message>& scratch, FanoutCounters* fanout,
                                           MessageCounters* counters) {
-  return collect_impl(entries_, seqs_, seen_, lane, scratch, fanout, counters);
+  return collect_impl(entries_, seqs_, seen_, withheld_, lane, scratch, fanout, counters);
 }
 
 FrameRef make_frame_ref(std::span<const std::byte> bytes) {

@@ -25,9 +25,11 @@
 //     keys are globally ordered, so concatenation in segment order IS send
 //     order — no sort, no merge.
 //   * `Mailbox` — the per-receiver buffer for traffic that is genuinely
-//     receiver-specific (unicasts, delayed redeliveries). `collect()` merges
-//     it with the shared lane in send order; when a receiver has no private
-//     traffic the returned span aliases the lane view directly.
+//     receiver-specific (unicasts, delayed redeliveries) and for the lane
+//     entries a fault withholds from this receiver. `collect()` merges it
+//     with the shared lane in send order; when a receiver has no private
+//     traffic and nothing withheld the returned span aliases the lane view
+//     directly.
 //   * `FrameRef`/`FrameView`/`FrameMailbox` — the same idea one level down,
 //     for the runtime's byte frames: a broadcast domain shares one
 //     ref-counted frame and each endpoint's mailbox holds views into it.
@@ -47,6 +49,7 @@
 #include <mutex>
 #include <span>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.hpp"
@@ -196,8 +199,8 @@ class ShardedLane {
 };
 
 /// Per-receiver buffer for receiver-specific traffic: unicasts, delayed
-/// redeliveries, and (when a delay hook forces per-receiver routing)
-/// broadcasts. Holds references, not copies.
+/// redeliveries, and the lane entries a fault withholds from this receiver
+/// (net/router.hpp). Holds references, not copies.
 class Mailbox {
  public:
   /// Deposit with a send-order sequence number; dedups (cached hash) against
@@ -205,11 +208,21 @@ class Mailbox {
   /// suppressed as a duplicate.
   bool deposit(MessageRef ref, std::uint64_t seq);
 
+  /// Withhold the shared-lane entry deposited at `seq` (content `ref`) from
+  /// this receiver at the next collect() — a drop or delay verdict on one
+  /// link of a broadcast. Calls come in ascending `seq`.
+  void withhold(MessageRef ref, std::uint64_t seq);
+
+  /// True when a withheld lane entry equals `ref`. Scans only the entries of
+  /// `ref`'s sender, which are the most recent ones while it is routed.
+  [[nodiscard]] bool withholds(const MessageRef& ref) const;
+
   /// Assemble this receiver's round inbox: the shared lane (may be null)
-  /// merged with private traffic in send order, duplicates across the two
-  /// suppressed. Fast path: with no private traffic the returned span
-  /// aliases the lane's shared view — zero per-receiver work. Slow path:
-  /// merges into `scratch` (reused across rounds by the caller).
+  /// minus its withheld entries, merged with private traffic in send order;
+  /// a private copy of content the lane delivers is suppressed. Fast path:
+  /// with no private traffic or withheld entries the returned span aliases
+  /// the lane's shared view — zero per-receiver work. Slow path: merges
+  /// into `scratch` (reused across rounds by the caller).
   /// Updates `fanout` / `counters` with per-recipient delivery stats when
   /// non-null. Resets the private buffer.
   std::span<const Message> collect(const BroadcastLane* lane, std::vector<Message>& scratch,
@@ -222,12 +235,13 @@ class Mailbox {
                                    FanoutCounters* fanout = nullptr,
                                    MessageCounters* counters = nullptr);
 
-  [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
+  [[nodiscard]] bool empty() const noexcept { return entries_.empty() && withheld_.empty(); }
 
  private:
   std::vector<MessageRef> entries_;
   std::vector<std::uint64_t> seqs_;
   std::unordered_set<MessageRef, MessageRefHash> seen_;
+  std::vector<std::pair<std::uint64_t, MessageRef>> withheld_;  // (lane seq, content)
 };
 
 // --------------------------------------------------------------- frames --

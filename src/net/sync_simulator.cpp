@@ -21,9 +21,7 @@ void SyncSimulator::add_process(std::unique_ptr<Process> process) {
     member_ids_dirty_ = true;
     std::erase_if(pending_joins_,
                   [id](const std::unique_ptr<Process>& p) { return p->id() == id; });
-    for (auto& [due, entries] : delayed_) {
-      std::erase_if(entries, [id](const auto& entry) { return entry.first == id; });
-    }
+    delayed_.purge(id);
     std::erase(pending_removals_, id);
   } else {
     const bool queued = std::any_of(pending_joins_.begin(), pending_joins_.end(),
@@ -52,58 +50,21 @@ void SyncSimulator::run_tasks(std::size_t count, const std::function<void(std::s
   }
 }
 
-std::size_t SyncSimulator::slot_of(NodeId id) const noexcept {
-  // dispatches_ is built from the ordered member map, so it is ascending by
-  // id — a unicast target resolves with one binary search.
-  const auto it = std::lower_bound(dispatches_.begin(), dispatches_.end(), id,
-                                   [](const Dispatch& d, NodeId v) { return d.id < v; });
-  if (it == dispatches_.end() || it->id != id) return dispatches_.size();
-  return static_cast<std::size_t>(it - dispatches_.begin());
-}
-
 void SyncSimulator::merge_lane(std::size_t lane_index) {
   // One lane of the parallel merge. The lane owns a contiguous range of
-  // destination slots: their mailboxes, their per-(from,to) chaos sequence
-  // counters, and their trace rings are touched by THIS lane only. It walks
-  // every message of the round in global send order (ascending sender slot,
-  // then outbox position) and applies exactly the effects it owns, so each
-  // receiver observes the same deposit order as the sequential engine —
-  // regardless of how the other lanes interleave in real time.
+  // destination slots: their mailboxes, their link counters, and their
+  // trace rings are touched by THIS lane only. It walks every message of the
+  // round in global send order (ascending sender slot, then outbox position)
+  // and applies exactly the effects it owns, so each receiver observes the
+  // same deposit order as the sequential engine — regardless of how the
+  // other lanes interleave in real time.
   LaneArena& arena = arenas_[lane_index];
   const std::size_t begin = lane_starts_[lane_index];
   const std::size_t end = lane_starts_[lane_index + 1];
   BroadcastLane& segment = lanes_[fill_lane_].segment(lane_index);
-  // A chaos schedule or delay hook may fault per (from, to) pair, so a
-  // broadcast is no longer uniform across receivers — route it per receiver
-  // (both are fault-injection probes; perf is irrelevant there).
-  const bool per_receiver = chaos_ != nullptr || delay_hook_ != nullptr;
+  arena.router.begin_round(round_, chaos_.get(), &delay_hook_, recorder_ && chaos_,
+                           std::span(targets_).subspan(begin, end - begin));
   const std::size_t n = dispatches_.size();
-
-  const auto deposit_private = [&](NodeId from, NodeId to, Member& member,
-                                   const MessageRef& ref, std::uint64_t key) {
-    Round extra = 0;
-    if (chaos_) {
-      const std::uint64_t link_seq = arena.link_seq[{from, to}]++;
-      const LinkEvent event{round_, from, to, link_seq};
-      const FaultDecision verdict = chaos_->peek(event);
-      if (verdict.faulted()) arena.chaos_stage.emplace_back(event, verdict);
-      if (recorder_) arena.trace_stage.push_back(make_link_verdict_record(event, verdict));
-      if (verdict.drop) return;
-      if (verdict.duplicate) {
-        // Second copy: the model discards duplicate identical messages from
-        // one sender within a round, so it dies in mailbox dedup — the
-        // decision is what must reproduce, and it is in the trace.
-        if (!member.mailbox.deposit(ref, key)) arena.fanout.dedup_hits += 1;
-      }
-      extra = verdict.delay_rounds;
-    }
-    if (extra == 0 && delay_hook_) extra = delay_hook_(from, to, ref.get(), round_);
-    if (extra > 0) {
-      arena.delayed_stage.push_back({round_ + 1 + extra, to, ref});
-      return;
-    }
-    if (!member.mailbox.deposit(ref, key + 1)) arena.fanout.dedup_hits += 1;
-  };
 
   for (std::size_t s = 0; s < n; ++s) {
     Dispatch& sender = dispatches_[s];
@@ -119,26 +80,14 @@ void SyncSimulator::merge_lane(std::size_t lane_index) {
       const std::uint64_t key = seq_ + 2 * (sender.msg_base + m);
       if (own_sender) {
         arena.messages.sent[static_cast<std::size_t>(ref->kind)] += 1;
-        arena.fanout.unique_payloads += 1;
+        arena.stage.fanout.unique_payloads += 1;
         if (tracing_) arena.debug_stage.push_back(TraceEntry{round_, sender.id, out.to, ref.get()});
-        if (recorder_) arena.trace_stage.push_back(make_send_record(sender.id, round_, out.to));
-        if (!out.to.has_value() && !per_receiver) {
-          // Clean broadcast: one deposit into this lane's segment. Segments
-          // cover ascending sender ranges, so seal()'s concatenation is
-          // globally key-ordered.
-          if (!segment.deposit(ref, key)) arena.fanout.dedup_hits += 1;
-        }
+        if (recorder_) arena.stage.trace.push_back(make_send_record(sender.id, round_, out.to));
       }
-      if (out.to.has_value()) {
-        const std::size_t t = slot_of(*out.to);
-        if (t >= begin && t < end) {  // recipient gone → no lane owns it; message lost
-          deposit_private(sender.id, *out.to, *dispatches_[t].member, ref, key);
-        }
-      } else if (per_receiver) {
-        for (std::size_t t = begin; t < end; ++t) {
-          deposit_private(sender.id, dispatches_[t].id, *dispatches_[t].member, ref, key);
-        }
-      }
+      // Segments cover ascending sender ranges, so seal()'s concatenation of
+      // the owning lanes' deposits is globally key-ordered.
+      arena.router.route(arena.stage, ref, out.to, key, own_sender ? &segment : nullptr,
+                         own_sender);
     }
   }
 }
@@ -155,9 +104,7 @@ void SyncSimulator::step() {
     member_ids_dirty_ = true;
     std::erase_if(pending_joins_,
                   [id](const std::unique_ptr<Process>& p) { return p->id() == id; });
-    for (auto& [due, entries] : delayed_) {
-      std::erase_if(entries, [id](const auto& entry) { return entry.first == id; });
-    }
+    delayed_.purge(id);
   }
   pending_removals_.clear();
 
@@ -181,14 +128,13 @@ void SyncSimulator::step() {
   // land in the receiver's private mailbox AFTER last round's routed
   // traffic (their sequence numbers are fresher), preserving the historical
   // "delayed messages arrive at the back of the inbox" order.
-  for (auto it = delayed_.begin(); it != delayed_.end() && it->first <= round_;) {
-    for (auto& [to, ref] : it->second) {
-      auto member = members_.find(to);
-      if (member == members_.end()) continue;
-      if (!member->second.mailbox.deposit(ref, seq_++)) metrics_.fanout.dedup_hits += 1;
-    }
-    it = delayed_.erase(it);
-  }
+  delayed_.release(
+      round_,
+      [this](NodeId to) {
+        const auto member = members_.find(to);
+        return member == members_.end() ? nullptr : &member->second.mailbox;
+      },
+      seq_, metrics_.fanout);
 
   // Flip lanes: the lane sealed last step is consumed by every member this
   // step; this step's merge lanes fill the other.
@@ -199,9 +145,11 @@ void SyncSimulator::step() {
   // the previous round is reused, so steady-state rounds allocate nothing.
   if (dispatches_.size() > members_.size()) dispatches_.resize(members_.size());
   dispatches_.reserve(members_.size());
+  targets_.clear();
   std::size_t slot = 0;
   for (auto& [id, member] : members_) {
     if (slot == dispatches_.size()) dispatches_.emplace_back();
+    targets_.push_back({id, &member.mailbox});
     Dispatch& dispatch = dispatches_[slot++];
     dispatch.id = id;
     dispatch.member = &member;
@@ -225,11 +173,7 @@ void SyncSimulator::step() {
   for (std::size_t l = 0; l < lane_count; ++l) {
     LaneArena& arena = arenas_[l];
     arena.messages = MessageCounters{};
-    arena.fanout.reset();
-    arena.link_seq.clear();  // link-event sequence numbers are per sent-round
-    arena.trace_stage.clear();
-    arena.chaos_stage.clear();
-    arena.delayed_stage.clear();
+    arena.stage.clear();
     arena.debug_stage.clear();
   }
   lanes_[fill_lane_].reset(lane_count);
@@ -248,10 +192,10 @@ void SyncSimulator::step() {
       // last round's broadcasts — it gets no lane, and its mailbox is empty.
       const ShardedLane* lane = member.joined_round == round_ ? nullptr : &deliver_lane;
       dispatch.inbox =
-          member.mailbox.collect(lane, member.scratch, &arena.fanout, &arena.messages);
+          member.mailbox.collect(lane, member.scratch, &arena.stage.fanout, &arena.messages);
       if (recorder_) {
         for (const Message& msg : dispatch.inbox) {
-          arena.trace_stage.push_back(make_deliver_record(dispatch.id, round_, msg.sender));
+          arena.stage.trace.push_back(make_deliver_record(dispatch.id, round_, msg.sender));
         }
       }
     }
@@ -263,8 +207,8 @@ void SyncSimulator::step() {
     // thread-count-independent; flushing in lane order keeps it fully
     // deterministic.
     for (std::size_t l = 0; l < lane_count; ++l) {
-      recorder_->record_batch(arenas_[l].trace_stage);
-      arenas_[l].trace_stage.clear();
+      recorder_->record_batch(arenas_[l].stage.trace);
+      arenas_[l].stage.trace.clear();
     }
   }
 
@@ -309,17 +253,10 @@ void SyncSimulator::step() {
       metrics_.messages.sent[k] += arena.messages.sent[k];
       metrics_.messages.delivered[k] += arena.messages.delivered[k];
     }
-    metrics_.fanout.deliveries += arena.fanout.deliveries;
-    metrics_.fanout.unique_payloads += arena.fanout.unique_payloads;
-    metrics_.fanout.dedup_hits += arena.fanout.dedup_hits;
-    metrics_.fanout.bytes_delivered += arena.fanout.bytes_delivered;
-    metrics_.fanout.slab_sends += arena.fanout.slab_sends;
-    metrics_.fanout.send_failures += arena.fanout.send_failures;
-    if (chaos_) chaos_->commit_batch(arena.chaos_stage);
-    if (recorder_) recorder_->record_batch(arena.trace_stage);
-    for (LaneArena::Delayed& delayed : arena.delayed_stage) {
-      delayed_[delayed.due].emplace_back(delayed.to, std::move(delayed.ref));
-    }
+    metrics_.fanout += arena.stage.fanout;
+    if (chaos_) chaos_->commit_batch(arena.stage.faults);
+    if (recorder_) recorder_->record_batch(arena.stage.trace);
+    delayed_.hold(arena.stage.delayed);
     if (tracing_) {
       for (TraceEntry& entry : arena.debug_stage) {
         if (trace_.size() >= trace_capacity_) trace_.pop_front();

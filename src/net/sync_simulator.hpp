@@ -18,12 +18,13 @@
 // persistent worker pool (net/parallel_exec.hpp): processes fill private
 // outbox slabs in parallel, then the destination slots are partitioned into
 // contiguous per-worker merge LANES and every lane routes its receivers'
-// traffic concurrently. There is no sequential replay pass — order-sensitive
-// effects are reconstructed from precomputed deterministic keys (per-slab
-// prefix sums over the global send order, per-link chaos sequence counters)
-// or staged per lane and committed in lane order, so sequence stamps, chaos
-// verdicts, and trace records are bit-identical to the sequential engine for
-// every thread count (DESIGN.md §8 gives the argument).
+// traffic concurrently through a Router (net/router.hpp). There is no
+// sequential replay pass — order-sensitive effects are reconstructed from
+// precomputed deterministic keys (per-slab prefix sums over the global send
+// order, per-sender link counters) or staged per lane and committed in lane
+// order, so sequence stamps, chaos verdicts, and trace records are
+// bit-identical to the sequential engine for every thread count (DESIGN.md
+// §8 gives the argument).
 #pragma once
 
 #include <cstdint>
@@ -36,8 +37,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/flat_set.hpp"
-
 #include "common/chaos.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
@@ -45,6 +44,7 @@
 #include "net/mailbox.hpp"
 #include "net/parallel_exec.hpp"
 #include "net/process.hpp"
+#include "net/router.hpp"
 
 namespace idonly {
 
@@ -97,26 +97,30 @@ class SyncSimulator {
   /// message (0 = normal next-round delivery). Delaying traffic between
   /// correct nodes deliberately violates the paper's model — the hook exists
   /// to demonstrate, constructively, that the algorithms *need* the
-  /// synchrony assumption (experiment E6). Unset by default.
-  using DelayHook =
-      std::function<Round(NodeId from, NodeId to, const Message& msg, Round sent_round)>;
+  /// synchrony assumption (experiment E6). Unset by default. The hook is
+  /// asked once per link, in send order, in every round while installed.
+  using DelayHook = idonly::DelayHook;
   void set_delay_hook(DelayHook hook) { delay_hook_ = std::move(hook); }
 
-  /// Install a shared chaos schedule (common/chaos.hpp). Every delivery
-  /// attempt — broadcast fan-out and unicast alike — is keyed as a
-  /// LinkEvent{sent_round, from, to, per-link seq} and the schedule's
-  /// verdict applied: drops skip the deposit, delays reuse the delayed_
-  /// queue, duplicates deposit a second copy (the model's per-round dedup
-  /// suppresses it — the verdict still lands in the shared trace, which is
-  /// the cross-engine contract). Corruption cannot mangle a typed Message;
-  /// it is recorded in the trace only. Self-delivery is never faulted.
+  /// Install a shared chaos schedule (common/chaos.hpp). In every round a
+  /// chaos phase covers, each delivery attempt — every link of a broadcast
+  /// and every unicast — is keyed as a LinkEvent{sent_round, from, to,
+  /// per-link seq} and the schedule's verdict applied (net/router.hpp):
+  /// broadcasts still go once into the shared lane, and a drop or delay
+  /// only withholds that lane entry from its receiver, a delay also queueing
+  /// a delayed private copy; a duplicate's second copy dies in the model's
+  /// per-round dedup (the verdict still lands in the shared trace, which is
+  /// the cross-engine contract). Rounds outside every phase compute no
+  /// verdicts and route exactly like a run without chaos. Corruption cannot
+  /// mangle a typed Message; it is recorded in the trace only. Self-delivery
+  /// is never faulted.
   void set_chaos(std::shared_ptr<ChaosSchedule> chaos) { chaos_ = std::move(chaos); }
   [[nodiscard]] const std::shared_ptr<ChaosSchedule>& chaos() const noexcept { return chaos_; }
 
   /// Attach a flight recorder (common/trace.hpp): every send, every
-  /// delivery, and — when a chaos schedule is installed — every link
-  /// verdict is recorded. Off (null) by default; the broadcast fast path is
-  /// untouched when no recorder is set.
+  /// delivery, and — when a chaos schedule is installed — one link verdict
+  /// per link, kLinkClean included. Off (null) by default; the recorder
+  /// never changes what is routed.
   void set_trace_recorder(std::shared_ptr<TraceRecorder> recorder) {
     recorder_ = std::move(recorder);
   }
@@ -180,34 +184,25 @@ class SyncSimulator {
   /// concurrent lanes never false-share counters.
   struct alignas(64) LaneArena {
     MessageCounters messages;  // delivered (inbox phase) + sent (merge phase)
-    FanoutCounters fanout;
-    FlatMap<std::pair<NodeId, NodeId>, std::uint64_t> link_seq;  // per round, lane-owned links
-    std::vector<TraceRecord> trace_stage;       // recorder records, per-ring order
-    std::vector<std::pair<LinkEvent, FaultDecision>> chaos_stage;  // faulted verdicts only
-    struct Delayed {
-      Round due = 0;
-      NodeId to = 0;
-      MessageRef ref;
-    };
-    std::vector<Delayed> delayed_stage;
-    std::vector<TraceEntry> debug_stage;        // enable_trace() ring entries
+    RouteStage stage;          // fanout, recorder records (per-ring order), faults, delays
+    Router router;             // this lane's receivers
+    std::vector<TraceEntry> debug_stage;  // enable_trace() ring entries
   };
 
   /// Run `fn(0..count)` on the pool when it exists (and count warrants it),
   /// inline otherwise.
   void run_tasks(std::size_t count, const std::function<void(std::size_t)>& fn);
-  /// Dispatch slot of a live member (dispatches_ is ascending by id), or
-  /// dispatches_.size() when the id is not a member this round.
-  [[nodiscard]] std::size_t slot_of(NodeId id) const noexcept;
   /// Phase 3 for one lane: walk every message in global send order and apply
-  /// the effects this lane owns (sender-side bookkeeping for its senders,
-  /// deposits/chaos/trace for its receivers). See DESIGN.md §8.
+  /// the effects this lane owns (sender-side bookkeeping and lane deposits
+  /// for its senders, verdicts and exceptions for its receivers). See
+  /// DESIGN.md §8.
   void merge_lane(std::size_t lane_index);
 
   std::map<NodeId, Member> members_;                 // ordered → deterministic stepping
   std::vector<std::unique_ptr<Process>> pending_joins_;
   std::vector<NodeId> pending_removals_;
   std::vector<Dispatch> dispatches_;                 // round arena, reused across rounds
+  std::vector<RouteTarget> targets_;                 // dispatches_' receivers, same order
   std::vector<LaneArena> arenas_;                    // lane arenas, reused across rounds
   std::vector<std::size_t> lane_starts_;  // lane l owns slots [starts[l], starts[l+1])
   unsigned threads_ = 1;
@@ -229,7 +224,7 @@ class SyncSimulator {
   ShardedLane lanes_[2];
   int fill_lane_ = 0;    // index of the lane collecting this step's sends
   std::uint64_t seq_ = 0;  // global send-order stamp for lane/mailbox merging
-  std::map<Round, std::vector<std::pair<NodeId, MessageRef>>> delayed_;  // due round → deliveries
+  DelayQueue delayed_;
 };
 
 }  // namespace idonly

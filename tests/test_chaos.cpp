@@ -257,7 +257,7 @@ TEST(ChaosCrossEngine, OneSeedOneTraceOnAllThreeEngines) {
   const std::vector<NodeId> ids{10, 20, 30};
   constexpr Round kRounds = 6;
 
-  // Sync engine: per-receiver routing through SyncSimulator::set_chaos.
+  // Sync engine: verdicts applied by the router behind SyncSimulator::set_chaos.
   auto run_sync = [&] {
     auto chaos = std::make_shared<ChaosSchedule>(plan, seed);
     SyncSimulator sim;

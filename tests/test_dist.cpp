@@ -8,17 +8,21 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <variant>
 #include <vector>
 
+#include "core/consensus.hpp"
 #include "dist/shard_coordinator.hpp"
+#include "dist/shard_engine.hpp"
 #include "dist/shard_plan.hpp"
 #include "dist/shard_trace.hpp"
 #include "dist/shard_wire.hpp"
 #include "dist/shard_worker.hpp"
 #include "harness/script.hpp"
+#include "net/sync_simulator.hpp"
 
 namespace idonly {
 namespace {
@@ -303,9 +307,10 @@ struct InProcessFleet {
 };
 
 /// Replays run_chaos_consensus's loop policy over an in-process fleet and
-/// returns the spliced canonical trace.
+/// returns the spliced canonical trace (and, on request, every record).
 std::string run_fleet_canonical(const std::string& text, std::uint32_t shards,
-                                Round* rounds_out = nullptr) {
+                                Round* rounds_out = nullptr,
+                                std::vector<TraceRecord>* records_out = nullptr) {
   const ScenarioScript script = parse_or_die(text);
   const Scenario scenario = make_scenario(script.config);
   ChurnDriver churn(script, scenario);
@@ -339,8 +344,32 @@ std::string run_fleet_canonical(const std::string& text, std::uint32_t shards,
       merged.absorb_ring(ring.node, std::move(ring.records), ring.next_seq, ring.evicted);
     }
   }
+  if (records_out != nullptr) *records_out = merged.snapshot();
   return merged.canonical_jsonl();
 }
+
+/// Each node's inbox history as its delivery records: (round, sender) in
+/// capture order.
+std::map<NodeId, std::vector<std::pair<Round, NodeId>>> deliveries_of(
+    const std::vector<TraceRecord>& records) {
+  std::map<NodeId, std::vector<std::pair<Round, NodeId>>> out;
+  for (const TraceRecord& rec : records) {
+    if (rec.kind == TraceEventKind::kDeliver) out[rec.node].emplace_back(rec.round, rec.from);
+  }
+  return out;
+}
+
+// Chaos-free consensus whose replay adversaries re-broadcast identical
+// messages, so the broadcast lane's dedup fires every round.
+const char* const kReplayScript =
+    "protocol consensus\n"
+    "nodes 9\n"
+    "inputs 0,1\n"
+    "byzantine 2 replay\n"
+    "seed 5\n"
+    "max-rounds 60\n"
+    "expect termination\n"
+    "expect agreement\n";
 
 TEST(ShardWorkerParity, ConsensusCanonicalTraceMatchesSingleProcess) {
   const SingleRun single = run_single_process(kConsensusScript);
@@ -358,6 +387,110 @@ TEST(ShardWorkerParity, TotalOrderCanonicalTraceMatchesSingleProcessAtThreeShard
   const std::string reference = single.recorder->canonical_jsonl();
   ASSERT_FALSE(reference.empty());
   EXPECT_EQ(fleet, reference);
+}
+
+TEST(ShardWorkerParity, ChaosFreeDeliveriesAndDedupHitsMatchSingleProcess) {
+  // Both engines route through the same broadcast lane, so a chaos-free run
+  // gives every node the same inbox history and the fleet's dedup hits sum
+  // to the in-process count at every shard count.
+  constexpr Round kRounds = 14;
+  const ScenarioScript script = parse_or_die(kReplayScript);
+  const Scenario scenario = make_scenario(script.config);
+  SyncSimulator sim;
+  auto recorder = std::make_shared<TraceRecorder>(TraceEngine::kSync);
+  sim.set_trace_recorder(recorder);
+  build_processes(
+      scenario,
+      [&](NodeId id, std::size_t index) -> std::unique_ptr<Process> {
+        return std::make_unique<ConsensusProcess>(
+            id, Value::real(script.inputs[index % script.inputs.size()]));
+      },
+      [&](std::unique_ptr<Process> process) { sim.add_process(std::move(process)); });
+  sim.run_rounds(kRounds);
+  const auto reference = deliveries_of(recorder->snapshot());
+  ASSERT_EQ(reference.size(), scenario.n());
+  ASSERT_GT(sim.metrics().fanout.dedup_hits, 0u);
+
+  for (const std::uint32_t shards : {1u, 2u, 4u}) {
+    InProcessFleet fleet(kReplayScript, shards, /*want_trace=*/true);
+    for (Round r = 0; r < kRounds; ++r) fleet.run_round();
+    std::uint64_t dedup_hits = 0;
+    std::vector<TraceRecord> records;
+    for (auto& worker : fleet.workers) {
+      ShardResult result = worker->finalize();
+      dedup_hits += result.metrics.fanout.dedup_hits;
+      for (ShardResult::Ring& ring : result.rings) {
+        records.insert(records.end(), ring.records.begin(), ring.records.end());
+      }
+    }
+    EXPECT_EQ(deliveries_of(records), reference) << "shards " << shards;
+    EXPECT_EQ(dedup_hits, sim.metrics().fanout.dedup_hits) << "shards " << shards;
+  }
+}
+
+TEST(ShardWorkerParity, ChaosChurnDeliveriesMatchSingleProcess) {
+  // Per-receiver exceptions (drops, delays, partitions) and churn: every
+  // node's inbox history still equals the in-process engine's.
+  const SingleRun single = run_single_process(kConsensusScript);
+  const auto reference = deliveries_of(single.recorder->snapshot());
+  ASSERT_FALSE(reference.empty());
+  for (const std::uint32_t shards : {1u, 2u, 4u}) {
+    std::vector<TraceRecord> records;
+    (void)run_fleet_canonical(kConsensusScript, shards, nullptr, &records);
+    EXPECT_EQ(deliveries_of(records), reference) << "shards " << shards;
+  }
+}
+
+// ----------------------------------------------- membership parity --
+
+void run_one_round(SyncSimulator& sim) { sim.step(); }
+void run_one_round(ShardEngine& engine) {
+  engine.begin_round();
+  engine.finish_round({});
+}
+
+/// Broadcasts its id every round and records what it hears.
+class Beacon final : public Process {
+ public:
+  using Process::Process;
+  void on_round(RoundInfo round, std::span<const Message> inbox,
+                std::vector<Outgoing>& out) override {
+    for (const Message& m : inbox) heard.emplace_back(round.global, m.sender);
+    locals.push_back(round.local);
+    broadcast(out, Message{.kind = MsgKind::kPresent});
+  }
+  std::vector<std::pair<Round, NodeId>> heard;
+  std::vector<Round> locals;
+};
+
+/// Removes node 2, re-adds a fresh process under id 2 in the same round,
+/// and returns what the replacement heard and its local rounds.
+template <typename Engine>
+std::pair<std::vector<std::pair<Round, NodeId>>, std::vector<Round>> reuse_leaving_id() {
+  Engine engine;
+  engine.add_process(std::make_unique<Beacon>(1));
+  engine.add_process(std::make_unique<Beacon>(2));
+  run_one_round(engine);
+  engine.remove_process(2);
+  auto fresh = std::make_unique<Beacon>(2);
+  Beacon* replacement = fresh.get();
+  EXPECT_NO_THROW(engine.add_process(std::move(fresh)));
+  // A second add under the same id is a real duplicate again.
+  EXPECT_THROW(engine.add_process(std::make_unique<Beacon>(2)), std::invalid_argument);
+  run_one_round(engine);
+  run_one_round(engine);
+  EXPECT_EQ(engine.member_count(), 2u);
+  EXPECT_EQ(engine.find(2), replacement);
+  return {replacement->heard, replacement->locals};
+}
+
+TEST(EngineParity, ReAddingAnIdQueuedForRemovalReplacesTheNodeOnBothEngines) {
+  const auto sync = reuse_leaving_id<SyncSimulator>();
+  const auto shard = reuse_leaving_id<ShardEngine>();
+  EXPECT_EQ(shard, sync);
+  // Joined for round 2: local rounds 1, 2; it hears round 2's beacons only.
+  EXPECT_EQ(sync.second, (std::vector<Round>{1, 2}));
+  EXPECT_EQ(sync.first, (std::vector<std::pair<Round, NodeId>>{{3, 1}, {3, 2}}));
 }
 
 // ------------------------------------- sharded trace epilogue parity --

@@ -4,11 +4,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
+#include "common/chaos.hpp"
 #include "common/rng.hpp"
+#include "common/trace.hpp"
+#include "core/consensus.hpp"
+#include "harness/scenario.hpp"
 #include "net/process.hpp"
 #include "net/sync_simulator.hpp"
 
@@ -394,6 +403,207 @@ TEST(SyncSimulator, DelayedMessageNotResurrectedForReusedId) {
   sim.run_rounds(5);  // runs through the old due round
   for (const auto& [round, inbox] : preborn->received_) {
     EXPECT_TRUE(inbox.empty()) << "stale delayed message resurrected in local round " << round;
+  }
+}
+
+// ----------------------------------------------- pay-per-fault routing --
+// A broadcast sits once in the shared lane and a fault only leaves a
+// per-receiver exception. Each case pins the inbox that routing every copy
+// to every receiver separately would give.
+
+/// First seed (from 1) whose schedule gives every listed event the verdict
+/// its predicate wants — verdicts are pure, so the search is deterministic.
+std::uint64_t seed_where(
+    const ChaosPlan& plan,
+    const std::vector<std::pair<LinkEvent, std::function<bool(const FaultDecision&)>>>& wants) {
+  for (std::uint64_t seed = 1; seed < 100000; ++seed) {
+    const ChaosSchedule schedule(plan, seed);
+    if (std::all_of(wants.begin(), wants.end(),
+                    [&](const auto& want) { return want.second(schedule.peek(want.first)); })) {
+      return seed;
+    }
+  }
+  ADD_FAILURE() << "no seed gives the wanted verdicts";
+  return 0;
+}
+
+ChaosPlan one_phase(Round first, Round last, double drop, double dup, double delay) {
+  ChaosPhase phase;
+  phase.first_round = first;
+  phase.last_round = last;
+  phase.drop = drop;
+  phase.duplicate = dup;
+  phase.delay = DelaySpec{delay, 1};
+  return ChaosPlan{{phase}};
+}
+
+const auto kDropped = [](const FaultDecision& v) { return v.drop; };
+const auto kClean = [](const FaultDecision& v) { return !v.faulted(); };
+
+TEST(SyncSimulatorRouting, DroppedBroadcastStillDeliversIdenticalUnicast) {
+  // Node 1 sends X to everyone AND privately to node 2 in the same round,
+  // in either order; the broadcast's copy to node 2 is dropped. Node 2 must
+  // still get X once, from the unicast: the lane entry withheld from it
+  // cannot suppress the private copy as a duplicate.
+  const Message x = text_msg(MsgKind::kPresent, 1);
+  for (const bool broadcast_first : {true, false}) {
+    const ChaosPlan plan = one_phase(1, 1, 0.5, 0, 0);
+    // The broadcast is link 1→2's send #0 when it goes first, #1 otherwise.
+    const std::uint64_t seed = seed_where(
+        plan, {{LinkEvent{1, 1, 2, broadcast_first ? 0u : 1u}, kDropped},
+               {LinkEvent{1, 1, 2, broadcast_first ? 1u : 0u}, kClean}});
+    for (const unsigned threads : {1u, 2u}) {
+      SyncSimulator sim;
+      sim.set_threads(threads);
+      sim.set_chaos(std::make_shared<ChaosSchedule>(plan, seed));
+      auto a = std::make_unique<ScriptedProcess>(1);
+      auto b = std::make_unique<ScriptedProcess>(2);
+      const Outgoing to_all{std::nullopt, x};
+      const Outgoing to_b{NodeId{2}, x};
+      a->send_in_round(1, broadcast_first ? to_all : to_b);
+      a->send_in_round(1, broadcast_first ? to_b : to_all);
+      auto* pa = a.get();
+      auto* pb = b.get();
+      sim.add_process(std::move(a));
+      sim.add_process(std::move(b));
+      sim.run_rounds(2);
+      const std::string tag = std::string(broadcast_first ? "broadcast first" : "unicast first") +
+                              ", threads " + std::to_string(threads);
+      ASSERT_EQ(pb->received_[2].size(), 1u) << tag;
+      EXPECT_EQ(pb->received_[2][0].sender, 1u) << tag;
+      EXPECT_EQ(pb->received_[2][0].kind, MsgKind::kPresent) << tag;
+      EXPECT_EQ(pa->received_[2].size(), 1u) << tag << ": the sender's own copy is never faulted";
+      EXPECT_EQ(sim.chaos()->counters().total_faults().drops, 1u) << tag;
+    }
+  }
+}
+
+TEST(SyncSimulatorRouting, RepeatedBroadcastReachesReceiverThatLostTheFirstCopy) {
+  // Node 1 broadcasts X twice in one round. The lane keeps one entry, but
+  // each copy is its own send on link 1→2: whichever copy is dropped, the
+  // other one still reaches node 2, exactly once.
+  const Message x = text_msg(MsgKind::kPresent, 1);
+  for (const std::uint64_t dropped : {0u, 1u}) {
+    const ChaosPlan plan = one_phase(1, 1, 0.5, 0, 0);
+    const std::uint64_t seed = seed_where(plan, {{LinkEvent{1, 1, 2, dropped}, kDropped},
+                                                 {LinkEvent{1, 1, 2, 1 - dropped}, kClean}});
+    for (const unsigned threads : {1u, 2u}) {
+      SyncSimulator sim;
+      sim.set_threads(threads);
+      sim.set_chaos(std::make_shared<ChaosSchedule>(plan, seed));
+      auto a = std::make_unique<ScriptedProcess>(1);
+      a->send_in_round(1, Outgoing{std::nullopt, x});
+      a->send_in_round(1, Outgoing{std::nullopt, x});
+      auto b = std::make_unique<ScriptedProcess>(2);
+      auto* pb = b.get();
+      sim.add_process(std::move(a));
+      sim.add_process(std::move(b));
+      sim.run_rounds(2);
+      EXPECT_EQ(pb->received_[2].size(), 1u) << "copy " << dropped << " dropped, threads " << threads;
+    }
+  }
+}
+
+TEST(SyncSimulatorRouting, DuplicateDelayKeepsOnTimeCopyAndQueuesDelayedOne) {
+  // Round 1: node 1 broadcasts X then Y; link 1→2 gives X a duplicate +
+  // one-round-delay verdict. Round 2: node 1 broadcasts Z. Node 2 sees X on
+  // time (the duplicate's first copy), then Y; a round later Z, with the
+  // delayed X at the back of the inbox.
+  const ChaosPlan plan = one_phase(1, 2, 0, 0.5, 0.5);
+  const std::uint64_t seed = seed_where(
+      plan, {{LinkEvent{1, 1, 2, 0},
+              [](const FaultDecision& v) { return v.duplicate && v.delay_rounds == 1; }},
+             {LinkEvent{1, 1, 2, 1}, kClean},
+             {LinkEvent{2, 1, 2, 0}, kClean}});
+  std::vector<std::vector<double>> reference;
+  for (const unsigned threads : {1u, 2u}) {
+    SyncSimulator sim;
+    sim.set_threads(threads);
+    sim.set_chaos(std::make_shared<ChaosSchedule>(plan, seed));
+    auto a = std::make_unique<ScriptedProcess>(1);
+    a->send_in_round(1, Outgoing{std::nullopt, text_msg(MsgKind::kPresent, 1)});  // X
+    a->send_in_round(1, Outgoing{std::nullopt, text_msg(MsgKind::kPresent, 2)});  // Y
+    a->send_in_round(2, Outgoing{std::nullopt, text_msg(MsgKind::kPresent, 3)});  // Z
+    auto b = std::make_unique<ScriptedProcess>(2);
+    auto* pb = b.get();
+    sim.add_process(std::move(a));
+    sim.add_process(std::move(b));
+    sim.run_rounds(4);
+    std::vector<std::vector<double>> values;
+    for (Round r = 2; r <= 4; ++r) {
+      std::vector<double> inbox;
+      for (const Message& m : pb->received_[r]) inbox.push_back(m.value.as_real());
+      values.push_back(inbox);
+    }
+    EXPECT_EQ(values, (std::vector<std::vector<double>>{{1, 2}, {3, 1}, {}}))
+        << "threads " << threads;
+    if (reference.empty()) reference = values;
+    EXPECT_EQ(values, reference);
+  }
+}
+
+TEST(SyncSimulatorRouting, ScheduleThatNeverFiresRoutesLikeNoSchedule) {
+  // A phase that opens after the run ends computes no verdict: inboxes,
+  // deliveries, dedup accounting and decisions equal a run without chaos,
+  // and the recorder sees only clean link verdicts. Replay adversaries
+  // re-broadcast identical messages, so lane dedup is exercised too.
+  ScenarioConfig config;
+  config.n_correct = 7;
+  config.n_byzantine = 2;
+  config.adversary = AdversaryKind::kReplay;
+  config.seed = 5;
+  const Scenario scenario = make_scenario(config);
+  struct Run {
+    std::vector<std::tuple<NodeId, Round, NodeId>> deliveries;
+    Metrics metrics;
+    std::map<NodeId, std::optional<Value>> outputs;
+    std::string canonical;
+  };
+  const auto run = [&](bool inert_chaos, unsigned threads) {
+    SyncSimulator sim;
+    sim.set_threads(threads);
+    auto recorder = std::make_shared<TraceRecorder>(TraceEngine::kSync);
+    sim.set_trace_recorder(recorder);
+    std::shared_ptr<ChaosSchedule> chaos;
+    if (inert_chaos) {
+      chaos = std::make_shared<ChaosSchedule>(one_phase(200, 201, 0.5, 0.5, 0.5), 9);
+      sim.set_chaos(chaos);
+    }
+    populate(sim, scenario, [](NodeId id, std::size_t index) -> std::unique_ptr<Process> {
+      return std::make_unique<ConsensusProcess>(id, Value::real(static_cast<double>(index % 2)));
+    });
+    sim.run_until_all_correct_done(100);
+    Run out;
+    for (const TraceRecord& rec : recorder->snapshot()) {
+      if (rec.kind == TraceEventKind::kDeliver) out.deliveries.emplace_back(rec.node, rec.round, rec.from);
+    }
+    out.metrics = sim.metrics();
+    for (NodeId id : scenario.correct_ids) out.outputs[id] = sim.get<ConsensusProcess>(id)->output();
+    out.canonical = recorder->canonical_jsonl();
+    if (chaos != nullptr) {
+      EXPECT_TRUE(chaos->canonical_trace().empty());
+    }
+    return out;
+  };
+  const Run clean = run(false, 1);
+  ASSERT_FALSE(clean.deliveries.empty());
+  EXPECT_GT(clean.metrics.fanout.dedup_hits, 0u) << "replayed duplicates should hit lane dedup";
+  for (const unsigned threads : {1u, 2u}) {
+    const Run inert = run(true, threads);
+    EXPECT_EQ(inert.deliveries, clean.deliveries) << threads;
+    EXPECT_EQ(inert.outputs, clean.outputs) << threads;
+    EXPECT_EQ(inert.metrics.rounds_executed, clean.metrics.rounds_executed) << threads;
+    EXPECT_EQ(inert.metrics.messages.delivered, clean.metrics.messages.delivered) << threads;
+    EXPECT_EQ(inert.metrics.fanout.deliveries, clean.metrics.fanout.deliveries) << threads;
+    EXPECT_EQ(inert.metrics.fanout.bytes_delivered, clean.metrics.fanout.bytes_delivered);
+    EXPECT_EQ(inert.metrics.fanout.dedup_hits, clean.metrics.fanout.dedup_hits) << threads;
+    EXPECT_EQ(clean.canonical, "") << "no schedule, no link verdicts";
+    // The inert schedule still reports every link, and every verdict is clean.
+    ASSERT_FALSE(inert.canonical.empty());
+    EXPECT_EQ(inert.canonical.find("\"link_clean\""), inert.canonical.find("\"link_"));
+    for (const char* faulty : {"link_drop", "link_duplicate", "link_delay", "link_corrupt"}) {
+      EXPECT_EQ(inert.canonical.find(faulty), std::string::npos) << faulty;
+    }
   }
 }
 
