@@ -1,9 +1,9 @@
 // Deterministic chaos-injection schedules shared by every engine.
 //
-// The flat FaultModel (runtime/faulty_transport.hpp) flips an independent
-// coin per frame, which makes failures impossible to reproduce across
-// engines: the sync simulator, the async simulator, and the runtime each
-// consume randomness in a different order. A ChaosSchedule fixes that by
+// A flat fault model that flips an independent coin per frame makes
+// failures impossible to reproduce across engines: the sync simulator, the
+// async simulator, and the runtime each consume randomness in a different
+// order. A ChaosSchedule fixes that by
 // making every fault verdict a PURE FUNCTION of (seed, link event): the
 // engines merely describe each delivery attempt as a LinkEvent{round, from,
 // to, seq} and ask `decide()` for the verdict. Same seed + same logical

@@ -119,16 +119,6 @@ DistRun infra_failure(std::string message) {
   return run;
 }
 
-void check(ScriptRun& run, Expectation expectation, bool satisfied, std::string detail) {
-  run.outcomes.push_back(ExpectationOutcome{expectation, satisfied, std::move(detail)});
-  run.all_satisfied = run.all_satisfied && satisfied;
-}
-
-bool wants(const ScenarioScript& script, Expectation expectation) {
-  return std::find(script.expectations.begin(), script.expectations.end(), expectation) !=
-         script.expectations.end();
-}
-
 }  // namespace
 
 DistRun run_dist(const DistConfig& config) {
@@ -284,8 +274,8 @@ DistRun run_dist(const DistConfig& config) {
   }
 
   // ----------------------------------------------------------- round loop --
-  // The coordinator replays the harness runners' loop policy
-  // (harness/script.cpp run_chaos_consensus / run_chaos_totalorder) with
+  // The coordinator replays the harness runner's loop policy
+  // (harness/script.cpp run_instrumented_script) with
   // worker statuses standing in for direct process inspection, and its own
   // ChurnDriver tracking the expectation set. The discard-everything
   // callbacks keep its id stream aligned with the workers'.
@@ -542,16 +532,10 @@ DistRun run_dist(const DistConfig& config) {
   run.metrics = metrics;
 
   if (consensus) {
-    // Replayed verdict logic from run_chaos_consensus, with the monitor fed
-    // from the merged decision set (decide rounds from the merged metrics)
-    // so the liveness probe's verdict — and its violation string — match.
-    std::vector<Value> correct_inputs;
-    for (std::size_t i = 0; i < scenario.correct_ids.size(); ++i) {
-      correct_inputs.push_back(Value::real(script.inputs[i % script.inputs.size()]));
-    }
-    InvariantMonitor monitor(wants(script, Expectation::kValidity) ? correct_inputs
-                                                                   : std::vector<Value>{});
-    if (script.liveness_budget > 0) monitor.set_termination_probe(script.liveness_budget);
+    // The in-process runner's verdict, with its monitor fed from the merged
+    // decision set (decide rounds from the merged metrics) so the liveness
+    // probe's verdict — and its violation string — match.
+    const std::unique_ptr<InvariantMonitor> monitor = make_script_monitor(script, scenario);
     for (const auto& [id, d] : decisions) {
       if (!d.has_output) continue;
       ProtocolEvent event;
@@ -560,78 +544,25 @@ DistRun run_dist(const DistConfig& config) {
       const auto it = metrics.done_round.find(id);
       event.round = it != metrics.done_round.end() ? it->second : round;
       event.value = d.output;
-      monitor.on_event(event);
+      monitor->on_event(event);
     }
-    monitor.finish(round);
-    script_run.violations = monitor.violations();
-
-    std::optional<Value> first;
-    bool agreement = true;
-    bool validity = false;
-    for (NodeId id : churn.tracked()) {
-      const auto it = decisions.find(id);
-      if (it == decisions.end() || !it->second.has_output) continue;
-      if (!first.has_value()) first = it->second.output;
-      agreement = agreement && it->second.output == *first;
-    }
-    if (first.has_value()) {
-      for (const Value& input : correct_inputs) validity = validity || input == *first;
-    }
-    if (wants(script, Expectation::kTermination)) {
-      check(script_run, Expectation::kTermination, all_decided, "all correct nodes decided");
-    }
-    if (wants(script, Expectation::kAgreement)) {
-      check(script_run, Expectation::kAgreement, agreement && all_decided,
-            "identical outputs");
-    }
-    if (wants(script, Expectation::kValidity)) {
-      check(script_run, Expectation::kValidity, validity, "output is a correct input");
-    }
-    if (wants(script, Expectation::kNoViolations)) {
-      check(script_run, Expectation::kNoViolations, monitor.ok() && agreement,
-            script_run.violations.empty() ? "invariant monitor clean"
-                                          : script_run.violations.front());
-    }
+    monitor->finish(round);
+    judge_consensus(
+        script_run, script, scenario, churn.tracked(),
+        [&decisions](NodeId id) -> std::optional<Value> {
+          const auto it = decisions.find(id);
+          if (it == decisions.end() || !it->second.has_output) return std::nullopt;
+          return it->second.output;
+        },
+        all_decided, *monitor);
   } else {
-    bool growth = !churn.tracked().empty();
-    bool prefix_ok = true;
-    const std::vector<ChainEntry>* longest = nullptr;
-    for (NodeId id : churn.tracked()) {
-      const auto it = chains.find(id);
-      if (it == chains.end()) continue;
-      growth = growth && !it->second.empty();
-      if (longest == nullptr || it->second.size() > longest->size()) longest = &it->second;
-    }
-    for (NodeId id : churn.tracked()) {
-      const auto it = chains.find(id);
-      if (it == chains.end() || longest == nullptr) continue;
-      const std::vector<ChainEntry>& chain = it->second;
-      const bool is_prefix = std::equal(chain.begin(), chain.end(), longest->begin());
-      if (!is_prefix) {
-        prefix_ok = false;
-        script_run.violations.push_back("node " + std::to_string(id) +
-                                        "'s chain is not a prefix of the longest chain");
-      }
-    }
-    if (wants(script, Expectation::kTermination)) {
-      check(script_run, Expectation::kTermination, growth, "every correct chain grew");
-    }
-    if (wants(script, Expectation::kAgreement)) {
-      check(script_run, Expectation::kAgreement, prefix_ok, "chains prefix-comparable");
-    }
-    if (wants(script, Expectation::kNoViolations)) {
-      check(script_run, Expectation::kNoViolations, prefix_ok,
-            script_run.violations.empty() ? "chain-prefix invariant clean"
-                                          : script_run.violations.front());
-    }
+    judge_totalorder(script_run, script, churn.tracked(),
+                     [&chains](NodeId id) -> const std::vector<ChainEntry>* {
+                       const auto it = chains.find(id);
+                       return it != chains.end() ? &it->second : nullptr;
+                     });
   }
-
-  std::ostringstream summary;
-  summary << to_string(script.protocol) << " n=" << script.config.n_correct << "+"
-          << script.config.n_byzantine << " seed=" << script.config.seed
-          << " rounds=" << script_run.rounds << " msgs=" << script_run.messages << " — "
-          << (script_run.all_satisfied ? "OK" : "EXPECTATION FAILED");
-  script_run.summary = summary.str();
+  summarize_script_run(script_run, script);
   return run;
 }
 

@@ -19,10 +19,12 @@
 //     kDeliver (no payload copy; Metrics::fanout counts the relayed bytes).
 //
 // Either way the coordinator owns the ROUND LOOP POLICY — replicated from
-// the harness chaos runners (harness/script.cpp), with the worker statuses
-// standing in for direct process inspection. Its own ChurnDriver instance
-// (engine-agnostic, same seed stream as the workers') tracks the evolving
-// set of nodes the expectations quantify over.
+// the harness's instrumented runner (harness/script.cpp), with the worker
+// statuses standing in for direct process inspection — and judges the
+// merged run with the runner's own verdict functions (harness/script.hpp).
+// Its own ChurnDriver instance (engine-agnostic, same seed stream as the
+// workers') tracks the evolving set of nodes the expectations quantify
+// over.
 //
 // Failure handling: a worker that closes its socket (crash) or stops
 // answering (wedge) fails the RUN, not the coordinator — every worker is

@@ -10,8 +10,8 @@
 //
 // The assignment rule is NOT part of the determinism argument: cross-shard
 // ordering comes from the ascending-sender merge at the receiving shard
-// (src/dist/shard_engine.hpp), which is correct for ANY deterministic
-// partition. The plan only has to be identical across workers and balanced
+// (SyncSimulator::finish_round, net/sync_simulator.hpp), which is correct
+// for ANY deterministic partition. The plan only has to be identical across workers and balanced
 // enough to be useful.
 #pragma once
 

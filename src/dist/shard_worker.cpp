@@ -40,56 +40,29 @@ ShardWorker::ShardWorker(const ShardInit& init) : shard_(init.shard), shards_(in
     observer_ = std::make_unique<TraceObserver>(recorder_);
   }
 
-  const bool consensus = script_.protocol == ScriptProtocol::kConsensus;
-  auto factory = [&](NodeId id, std::size_t index) -> std::unique_ptr<Process> {
-    if (consensus) {
-      const double input = script_.inputs[index % script_.inputs.size()];
-      return std::make_unique<ConsensusProcess>(id, Value::real(input));
-    }
-    return std::make_unique<TotalOrderProcess>(id, /*founder=*/true);
-  };
   // Construct EVERY process (correct and adversary — the adversaries share
   // one seed-derived Rng stream, so skipping any would shift the rest) and
-  // keep only this shard's slice.
-  build_processes(scenario_, factory, [&](std::unique_ptr<Process> process) {
-    if (plan_.owner(process->id()) == shard_) {
-      engine_.add_process(std::move(process));
-      initial_members_ += 1;
-    }
-  });
-
-  if (consensus && observer_ != nullptr) {
-    // Initial correct nodes report protocol events into the flight recorder;
-    // churn joiners stay unobserved — exactly the single-process wiring.
-    for (NodeId id : scenario_.correct_ids) {
-      if (auto* p = engine_.get<ConsensusProcess>(id)) p->set_observer(observer_.get());
-    }
-  }
-  if (!consensus) {
-    for (std::size_t i = 0; i < scenario_.correct_ids.size(); ++i) {
-      auto* p = engine_.get<TotalOrderProcess>(scenario_.correct_ids[i]);
-      if (p == nullptr) continue;
-      for (int k = 0; k < 4; ++k) p->submit_event(static_cast<double>(i * 10 + k));
-    }
-  }
+  // keep only this shard's slice. Initial correct consensus nodes report
+  // protocol events into the flight recorder; churn joiners stay
+  // unobserved — exactly the single-process wiring.
+  build_processes(scenario_, script_process_factory(script_),
+                  [&](std::unique_ptr<Process> process) {
+                    if (plan_.owner(process->id()) == shard_) {
+                      engine_.add_process(std::move(process));
+                      initial_members_ += 1;
+                    }
+                  });
+  prime_script_processes(
+      script_, scenario_, [this](NodeId id) { return engine_.find(id); }, observer_.get());
 
   churn_ = std::make_unique<ChurnDriver>(script_, scenario_);
+  make_joiner_ = script_joiner_factory(script_, scenario_);
   writers_.resize(shards_);
 }
 
 std::vector<ShardWorker::OutboundSlab> ShardWorker::begin_round() {
-  const Round next = engine_.round() + 1;
-  const bool consensus = script_.protocol == ScriptProtocol::kConsensus;
-  auto make_joiner = [&](NodeId id, std::size_t joiner_index) -> std::unique_ptr<Process> {
-    if (consensus) {
-      const double input =
-          script_.inputs[(scenario_.correct_ids.size() + joiner_index) % script_.inputs.size()];
-      return std::make_unique<ConsensusProcess>(id, Value::real(input));
-    }
-    return std::make_unique<TotalOrderProcess>(id, /*founder=*/false);
-  };
   churn_->apply(
-      next, make_joiner,
+      engine_.round() + 1, make_joiner_,
       [&](std::unique_ptr<Process> process) {
         if (process != nullptr && plan_.owner(process->id()) == shard_) {
           engine_.add_process(std::move(process));
@@ -102,7 +75,7 @@ std::vector<ShardWorker::OutboundSlab> ShardWorker::begin_round() {
   for (std::uint32_t s = 0; s < shards_; ++s) {
     if (s != shard_) writers_[s].reset(shard_, engine_.round());
   }
-  for (const ShardEngine::Send& send : engine_.local_sends()) {
+  engine_.for_each_local_send([&](const SyncSimulator::Send& send) {
     if (send.to.has_value()) {
       const std::uint32_t dest = plan_.owner(*send.to);
       if (dest != shard_) writers_[dest].add(send.to, send.ref.get());
@@ -111,7 +84,7 @@ std::vector<ShardWorker::OutboundSlab> ShardWorker::begin_round() {
         if (s != shard_) writers_[s].add(std::nullopt, send.ref.get());
       }
     }
-  }
+  });
   std::vector<OutboundSlab> out;
   for (std::uint32_t s = 0; s < shards_; ++s) {
     if (s != shard_ && !writers_[s].empty()) out.push_back({s, writers_[s].bytes()});
@@ -120,7 +93,7 @@ std::vector<ShardWorker::OutboundSlab> ShardWorker::begin_round() {
 }
 
 bool ShardWorker::decode_peer_slab(std::span<const std::byte> bytes,
-                                   std::vector<ShardEngine::Send>& stream) {
+                                   std::vector<SyncSimulator::Send>& stream) {
   const auto view = parse_shard_slab(bytes);
   if (!view.has_value()) {
     wire_faults_.truncations += 1;
@@ -149,15 +122,15 @@ bool ShardWorker::decode_peer_slab(std::span<const std::byte> bytes,
   return true;
 }
 
-void ShardWorker::merge_round(std::span<const std::vector<ShardEngine::Send>> streams) {
+void ShardWorker::merge_round(std::span<const std::vector<SyncSimulator::Send>> streams) {
   engine_.finish_round(streams);
 }
 
 bool ShardWorker::finish_round(std::span<const std::vector<std::byte>> peer_slabs) {
-  std::vector<std::vector<ShardEngine::Send>> streams;
+  std::vector<std::vector<SyncSimulator::Send>> streams;
   streams.reserve(peer_slabs.size());
   for (const std::vector<std::byte>& bytes : peer_slabs) {
-    std::vector<ShardEngine::Send> stream;
+    std::vector<SyncSimulator::Send> stream;
     if (!decode_peer_slab(bytes, stream)) return false;
     streams.push_back(std::move(stream));
   }
@@ -289,14 +262,14 @@ int run_worker_loop(int fd, std::vector<int> peer_fds) {
           std::vector<std::span<const std::byte>> by_shard(worker->shards());
           for (const ShardWorker::OutboundSlab& slab : slabs) by_shard[slab.dest] = slab.bytes;
           std::string mesh_error;
-          std::vector<std::vector<ShardEngine::Send>> streams;
+          std::vector<std::vector<SyncSimulator::Send>> streams;
           streams.reserve(mesh->peer_count());
           bool ok = mesh->post_round(round, by_shard, mesh_error);
           if (ok) {
             ok = mesh->collect_round(
                 round,
                 [&](std::uint32_t, std::span<const std::byte> bytes) {
-                  std::vector<ShardEngine::Send> stream;
+                  std::vector<SyncSimulator::Send> stream;
                   if (!worker->decode_peer_slab(bytes, stream)) return false;
                   streams.push_back(std::move(stream));
                   return true;

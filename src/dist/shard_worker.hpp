@@ -1,14 +1,18 @@
 // One shard worker: a script-driven slice of a distributed simulation run.
 //
-// The worker owns the processes its ShardPlan slice assigns to it, drives
-// them through a ShardEngine, and speaks the coordinator's round protocol
-// (dist/shard_wire.hpp). It reconstructs the ENTIRE run description from the
-// shipped script text — scenario, chaos plan, churn stream — because the
-// determinism of the whole scheme rests on every worker deriving identical
-// plans from identical inputs:
+// The worker owns the processes its ShardPlan slice assigns to it and drives
+// them through a SyncSimulator that holds only that slice: begin_round()
+// steps the local processes, the worker ships their sends to the peers as
+// shard slabs, and finish_round() hands the peers' decoded slabs to the
+// simulator's merge as remote streams (net/sync_simulator.hpp). It speaks
+// the coordinator's round protocol (dist/shard_wire.hpp). It reconstructs
+// the ENTIRE run description from the shipped script text — scenario, chaos
+// plan, churn stream — because the determinism of the whole scheme rests on
+// every worker deriving identical plans from identical inputs:
 //
 //   * build_processes() constructs EVERY process (all adversaries draw from
-//     one shared seed stream) and the worker keeps only its own slice;
+//     one shared seed stream) with the script runner's own factories
+//     (harness/script.hpp) and the worker keeps only its own slice;
 //   * the ChurnDriver runs in every worker, so joiner ids and tracked sets
 //     agree everywhere; a joiner is kept only when the plan assigns it here;
 //   * the chaos schedule is pure in (seed, link event), so each worker
@@ -28,13 +32,18 @@
 
 #include "common/chaos.hpp"
 #include "common/trace.hpp"
-#include "net/codec.hpp"
-#include "dist/shard_engine.hpp"
 #include "dist/shard_plan.hpp"
 #include "dist/shard_wire.hpp"
 #include "harness/script.hpp"
+#include "net/codec.hpp"
+#include "net/sync_simulator.hpp"
 
 namespace idonly {
+
+// The shard engine is SyncSimulator on an id slice; the old name survives
+// only so that code spelling the merge stream type `ShardEngine::Send`
+// (benchmark/layers.cpp) keeps compiling.
+using ShardEngine = SyncSimulator;
 
 class ShardWorker {
  public:
@@ -75,10 +84,10 @@ class ShardWorker {
   /// with the remaining peers' transfers) and merged once all are in. Same
   /// failure contract as finish_round().
   [[nodiscard]] bool decode_peer_slab(std::span<const std::byte> bytes,
-                                      std::vector<ShardEngine::Send>& stream);
+                                      std::vector<SyncSimulator::Send>& stream);
   /// Run the deterministic boundary merge over already-decoded streams
   /// (stream order is irrelevant — the merge orders by sender id).
-  void merge_round(std::span<const std::vector<ShardEngine::Send>> streams);
+  void merge_round(std::span<const std::vector<SyncSimulator::Send>> streams);
 
   /// Compute/communication overlap accounting, folded into finalize()'s
   /// metrics. The protocol loop (and its MeshExchange) owns the timing; the
@@ -101,11 +110,12 @@ class ShardWorker {
   ScenarioScript script_;
   Scenario scenario_;
   ShardPlan plan_;
-  ShardEngine engine_;
+  SyncSimulator engine_;
   std::shared_ptr<ChaosSchedule> chaos_;
   std::shared_ptr<TraceRecorder> recorder_;
   std::unique_ptr<TraceObserver> observer_;
   std::unique_ptr<ChurnDriver> churn_;
+  ChurnDriver::JoinerFactory make_joiner_;
   std::vector<ShardSlabWriter> writers_;  // indexed by destination shard
   FaultCounters wire_faults_;
   OverlapCounters overlap_;

@@ -411,6 +411,15 @@ bool wants(const ScenarioScript& script, Expectation expectation) {
   return false;
 }
 
+/// The initial correct nodes' inputs: the script's inputs, cycled.
+std::vector<Value> correct_inputs(const ScenarioScript& script, const Scenario& scenario) {
+  std::vector<Value> out;
+  for (std::size_t i = 0; i < scenario.correct_ids.size(); ++i) {
+    out.push_back(Value::real(script.inputs[i % script.inputs.size()]));
+  }
+  return out;
+}
+
 ScriptRun run_consensus_like(const ScenarioScript& script, const ScriptOptions& options) {
   ScriptRun result;
   // The king variant shares the harness shape; run it through a local
@@ -466,14 +475,16 @@ ScriptRun run_consensus_like(const ScenarioScript& script, const ScriptOptions& 
   return result;
 }
 
-/// Consensus (A3) under a chaos schedule and/or churn stream, with the
-/// invariant monitor wired through: every initial correct process reports
-/// its decisions into one InvariantMonitor, and the run's verdicts come
-/// from BOTH the output inspection (as in the clean path) and the monitor's
-/// online probes — including the bounded-termination probe when the script
-/// arms it with `liveness`.
-ScriptRun run_chaos_consensus(const ScenarioScript& script, const ScriptOptions& options) {
+/// Consensus (A3) under a chaos schedule, churn stream or liveness probe,
+/// and total ordering (A6) with or without them: the instrumented round
+/// loop. A consensus run wires every initial correct process into one
+/// InvariantMonitor, so its verdicts come from BOTH the output inspection
+/// and the monitor's online probes; it stops once every tracked node is
+/// done. A totalorder run executes max-rounds and judges the finalized
+/// chains.
+ScriptRun run_instrumented_script(const ScenarioScript& script, const ScriptOptions& options) {
   ScriptRun result;
+  const bool consensus = script.protocol == ScriptProtocol::kConsensus;
   const Scenario scenario = make_scenario(script.config);
   SyncSimulator sim;
   sim.set_trace_recorder(options.recorder);
@@ -485,41 +496,19 @@ ScriptRun run_chaos_consensus(const ScenarioScript& script, const ScriptOptions&
     sim.set_chaos(chaos);
   }
 
-  std::vector<Value> correct_inputs;
-  for (std::size_t i = 0; i < scenario.correct_ids.size(); ++i) {
-    correct_inputs.push_back(Value::real(script.inputs[i % script.inputs.size()]));
-  }
-  // The validity probe (decided value ∈ correct inputs — STRONG validity)
-  // arms only when the script expects validity: with split real-valued
-  // inputs and f at the tolerance ceiling, A3's coordinator-adoption step
-  // can legitimately land on an adversary value (EXPERIMENTS.md E11), so
-  // scripts probing that regime must be able to watch agreement/liveness
-  // without the strong-validity probe tripping no-violations.
-  InvariantMonitor monitor(wants(script, Expectation::kValidity) ? correct_inputs
-                                                                 : std::vector<Value>{});
-  if (script.liveness_budget > 0) monitor.set_termination_probe(script.liveness_budget);
+  const std::unique_ptr<InvariantMonitor> monitor = make_script_monitor(script, scenario);
   // With a recorder, protocol events flow into the flight recording AND on
   // to the invariant monitor (TraceObserver chains).
-  TraceObserver trace_observer(options.recorder, &monitor);
+  TraceObserver trace_observer(options.recorder, monitor.get());
   ProtocolObserver* observer =
       options.recorder != nullptr ? static_cast<ProtocolObserver*>(&trace_observer)
-                                  : static_cast<ProtocolObserver*>(&monitor);
-
-  auto factory = [&](NodeId id, std::size_t index) -> std::unique_ptr<Process> {
-    const double input = script.inputs[index % script.inputs.size()];
-    return std::make_unique<ConsensusProcess>(id, Value::real(input));
-  };
-  populate(sim, scenario, factory);
-  for (NodeId id : scenario.correct_ids) {
-    if (auto* p = sim.get<ConsensusProcess>(id)) p->set_observer(observer);
-  }
+                                  : static_cast<ProtocolObserver*>(monitor.get());
+  populate(sim, scenario, script_process_factory(script));
+  prime_script_processes(
+      script, scenario, [&sim](NodeId id) { return sim.find(id); }, observer);
 
   ChurnDriver churn(script, scenario);
-  auto make_joiner = [&](NodeId id, std::size_t joiner_index) -> std::unique_ptr<Process> {
-    const double input =
-        script.inputs[(scenario.correct_ids.size() + joiner_index) % script.inputs.size()];
-    return std::make_unique<ConsensusProcess>(id, Value::real(input));
-  };
+  const ChurnDriver::JoinerFactory make_joiner = script_joiner_factory(script, scenario);
   auto tracked_done = [&] {
     bool any = false;
     for (NodeId id : churn.tracked()) {
@@ -531,90 +520,13 @@ ScriptRun run_chaos_consensus(const ScenarioScript& script, const ScriptOptions&
   };
   bool all_decided = false;
   for (Round i = 0; i < script.max_rounds; ++i) {
-    if (tracked_done()) {
+    if (consensus && tracked_done()) {
       all_decided = true;
       break;
     }
     churn.apply(sim, sim.round() + 1, make_joiner);
     sim.step();
   }
-  if (!all_decided) all_decided = tracked_done();
-  monitor.finish(sim.round());
-  result.rounds = sim.round();
-  result.messages = sim.metrics().messages.total_delivered();
-  if (chaos != nullptr) {
-    const ChaosCounters chaos_counters = chaos->counters();
-    result.chaos_summary = chaos_counters.summary();
-    result.metrics_exposition = prometheus_exposition(sim.metrics(), &chaos_counters);
-  } else {
-    result.metrics_exposition = prometheus_exposition(sim.metrics());
-  }
-  result.violations = monitor.violations();
-
-  std::optional<Value> first;
-  bool agreement = true;
-  bool validity = false;
-  for (NodeId id : churn.tracked()) {
-    auto* p = sim.get<ConsensusProcess>(id);
-    if (p == nullptr || !p->output().has_value()) continue;
-    if (!first.has_value()) first = *p->output();
-    agreement = agreement && *p->output() == *first;
-  }
-  if (first.has_value()) {
-    for (const Value& input : correct_inputs) validity = validity || input == *first;
-  }
-
-  if (wants(script, Expectation::kTermination)) {
-    check(result, Expectation::kTermination, all_decided, "all correct nodes decided");
-  }
-  if (wants(script, Expectation::kAgreement)) {
-    check(result, Expectation::kAgreement, agreement && all_decided, "identical outputs");
-  }
-  if (wants(script, Expectation::kValidity)) {
-    check(result, Expectation::kValidity, validity, "output is a correct input");
-  }
-  if (wants(script, Expectation::kNoViolations)) {
-    check(result, Expectation::kNoViolations, monitor.ok() && agreement,
-          result.violations.empty() ? "invariant monitor clean"
-                                    : result.violations.front());
-  }
-  return result;
-}
-
-/// Total ordering (A6) — with or without chaos. Every correct node submits a
-/// small batch of events; the run checks the paper's chain-prefix and
-/// chain-growth properties over the finalized chains.
-ScriptRun run_chaos_totalorder(const ScenarioScript& script, const ScriptOptions& options) {
-  ScriptRun result;
-  const Scenario scenario = make_scenario(script.config);
-  SyncSimulator sim;
-  sim.set_trace_recorder(options.recorder);
-  sim.set_threads(options.threads);
-  std::shared_ptr<ChaosSchedule> chaos;
-  if (!script.chaos_phases.empty()) {
-    chaos = std::make_shared<ChaosSchedule>(
-        materialize_chaos_plan(script.chaos_phases, scenario.all_ids()), script.config.seed);
-    sim.set_chaos(chaos);
-  }
-
-  auto factory = [](NodeId id, std::size_t) -> std::unique_ptr<Process> {
-    return std::make_unique<TotalOrderProcess>(id, /*founder=*/true);
-  };
-  populate(sim, scenario, factory);
-  for (std::size_t i = 0; i < scenario.correct_ids.size(); ++i) {
-    auto* p = sim.get<TotalOrderProcess>(scenario.correct_ids[i]);
-    if (p == nullptr) continue;
-    for (int k = 0; k < 4; ++k) p->submit_event(static_cast<double>(i * 10 + k));
-  }
-
-  ChurnDriver churn(script, scenario);
-  auto make_joiner = [](NodeId id, std::size_t) -> std::unique_ptr<Process> {
-    return std::make_unique<TotalOrderProcess>(id, /*founder=*/false);
-  };
-  for (Round i = 0; i < script.max_rounds; ++i) {
-    churn.apply(sim, sim.round() + 1, make_joiner);
-    sim.step();
-  }
   result.rounds = sim.round();
   result.messages = sim.metrics().messages.total_delivered();
   if (chaos != nullptr) {
@@ -625,48 +537,159 @@ ScriptRun run_chaos_totalorder(const ScenarioScript& script, const ScriptOptions
     result.metrics_exposition = prometheus_exposition(sim.metrics());
   }
 
-  // Chain-prefix: any two tracked correct chains must be prefix-comparable
-  // (the shorter one is a literal prefix of the longer). Chain-growth: every
-  // tracked correct node finalized something by the end of the run. Late
-  // joiners' chains start at their join round, so they are exempt (the
-  // dynamic_ledger example shows how to align them by instance number).
-  bool growth = !churn.tracked().empty();
-  bool prefix_ok = true;
-  const std::vector<ChainEntry>* longest = nullptr;
-  for (NodeId id : churn.tracked()) {
-    auto* p = sim.get<TotalOrderProcess>(id);
-    if (p == nullptr) continue;
-    const auto& chain = p->chain();
-    growth = growth && !chain.empty();
-    if (longest == nullptr || chain.size() > longest->size()) longest = &chain;
-  }
-  for (NodeId id : churn.tracked()) {
-    auto* p = sim.get<TotalOrderProcess>(id);
-    if (p == nullptr || longest == nullptr) continue;
-    const auto& chain = p->chain();
-    const bool is_prefix = std::equal(chain.begin(), chain.end(), longest->begin());
-    if (!is_prefix) {
-      prefix_ok = false;
-      result.violations.push_back("node " + std::to_string(id) +
-                                  "'s chain is not a prefix of the longest chain");
-    }
-  }
-
-  if (wants(script, Expectation::kTermination)) {
-    check(result, Expectation::kTermination, growth, "every correct chain grew");
-  }
-  if (wants(script, Expectation::kAgreement)) {
-    check(result, Expectation::kAgreement, prefix_ok, "chains prefix-comparable");
-  }
-  if (wants(script, Expectation::kNoViolations)) {
-    check(result, Expectation::kNoViolations, prefix_ok,
-          result.violations.empty() ? "chain-prefix invariant clean"
-                                    : result.violations.front());
+  if (consensus) {
+    if (!all_decided) all_decided = tracked_done();
+    monitor->finish(sim.round());
+    judge_consensus(
+        result, script, scenario, churn.tracked(),
+        [&sim](NodeId id) -> std::optional<Value> {
+          auto* p = sim.get<ConsensusProcess>(id);
+          return p != nullptr ? p->output() : std::nullopt;
+        },
+        all_decided, *monitor);
+  } else {
+    judge_totalorder(result, script, churn.tracked(),
+                     [&sim](NodeId id) -> const std::vector<ChainEntry>* {
+                       auto* p = sim.get<TotalOrderProcess>(id);
+                       return p != nullptr ? &p->chain() : nullptr;
+                     });
   }
   return result;
 }
 
 }  // namespace
+
+CorrectFactory script_process_factory(const ScenarioScript& script) {
+  if (script.protocol == ScriptProtocol::kTotalOrder) {
+    return [](NodeId id, std::size_t) -> std::unique_ptr<Process> {
+      return std::make_unique<TotalOrderProcess>(id, /*founder=*/true);
+    };
+  }
+  return [inputs = script.inputs](NodeId id, std::size_t index) -> std::unique_ptr<Process> {
+    return std::make_unique<ConsensusProcess>(id, Value::real(inputs[index % inputs.size()]));
+  };
+}
+
+ChurnDriver::JoinerFactory script_joiner_factory(const ScenarioScript& script,
+                                                 const Scenario& scenario) {
+  if (script.protocol == ScriptProtocol::kTotalOrder) {
+    return [](NodeId id, std::size_t) -> std::unique_ptr<Process> {
+      return std::make_unique<TotalOrderProcess>(id, /*founder=*/false);
+    };
+  }
+  return [inputs = script.inputs, first = scenario.correct_ids.size()](
+             NodeId id, std::size_t joiner_index) -> std::unique_ptr<Process> {
+    const double input = inputs[(first + joiner_index) % inputs.size()];
+    return std::make_unique<ConsensusProcess>(id, Value::real(input));
+  };
+}
+
+void prime_script_processes(const ScenarioScript& script, const Scenario& scenario,
+                            const std::function<Process*(NodeId)>& find,
+                            ProtocolObserver* observer) {
+  for (std::size_t i = 0; i < scenario.correct_ids.size(); ++i) {
+    Process* process = find(scenario.correct_ids[i]);
+    if (script.protocol == ScriptProtocol::kTotalOrder) {
+      auto* p = dynamic_cast<TotalOrderProcess*>(process);
+      if (p == nullptr) continue;
+      for (int k = 0; k < 4; ++k) p->submit_event(static_cast<double>(i * 10 + k));
+    } else if (auto* p = dynamic_cast<ConsensusProcess*>(process); p != nullptr && observer) {
+      p->set_observer(observer);
+    }
+  }
+}
+
+std::unique_ptr<InvariantMonitor> make_script_monitor(const ScenarioScript& script,
+                                                      const Scenario& scenario) {
+  auto monitor = std::make_unique<InvariantMonitor>(
+      wants(script, Expectation::kValidity) ? correct_inputs(script, scenario)
+                                            : std::vector<Value>{});
+  if (script.liveness_budget > 0) monitor->set_termination_probe(script.liveness_budget);
+  return monitor;
+}
+
+void judge_consensus(ScriptRun& run, const ScenarioScript& script, const Scenario& scenario,
+                     const std::vector<NodeId>& tracked,
+                     const std::function<std::optional<Value>(NodeId)>& output_of,
+                     bool all_decided, const InvariantMonitor& monitor) {
+  run.violations = monitor.violations();
+  std::optional<Value> first;
+  bool agreement = true;
+  bool validity = false;
+  for (NodeId id : tracked) {
+    const std::optional<Value> output = output_of(id);
+    if (!output.has_value()) continue;
+    if (!first.has_value()) first = *output;
+    agreement = agreement && *output == *first;
+  }
+  if (first.has_value()) {
+    for (const Value& input : correct_inputs(script, scenario)) {
+      validity = validity || input == *first;
+    }
+  }
+
+  if (wants(script, Expectation::kTermination)) {
+    check(run, Expectation::kTermination, all_decided, "all correct nodes decided");
+  }
+  if (wants(script, Expectation::kAgreement)) {
+    check(run, Expectation::kAgreement, agreement && all_decided, "identical outputs");
+  }
+  if (wants(script, Expectation::kValidity)) {
+    check(run, Expectation::kValidity, validity, "output is a correct input");
+  }
+  if (wants(script, Expectation::kNoViolations)) {
+    check(run, Expectation::kNoViolations, monitor.ok() && agreement,
+          run.violations.empty() ? "invariant monitor clean" : run.violations.front());
+  }
+}
+
+void judge_totalorder(ScriptRun& run, const ScenarioScript& script,
+                      const std::vector<NodeId>& tracked,
+                      const std::function<const std::vector<ChainEntry>*(NodeId)>& chain_of) {
+  // Chain-prefix: any two tracked correct chains must be prefix-comparable
+  // (the shorter one is a literal prefix of the longer). Chain-growth: every
+  // tracked correct node finalized something by the end of the run. Late
+  // joiners' chains start at their join round, so they are exempt (the
+  // dynamic_ledger example shows how to align them by instance number).
+  bool growth = !tracked.empty();
+  bool prefix_ok = true;
+  const std::vector<ChainEntry>* longest = nullptr;
+  for (NodeId id : tracked) {
+    const std::vector<ChainEntry>* chain = chain_of(id);
+    if (chain == nullptr) continue;
+    growth = growth && !chain->empty();
+    if (longest == nullptr || chain->size() > longest->size()) longest = chain;
+  }
+  for (NodeId id : tracked) {
+    const std::vector<ChainEntry>* chain = chain_of(id);
+    if (chain == nullptr || longest == nullptr) continue;
+    if (!std::equal(chain->begin(), chain->end(), longest->begin())) {
+      prefix_ok = false;
+      run.violations.push_back("node " + std::to_string(id) +
+                               "'s chain is not a prefix of the longest chain");
+    }
+  }
+
+  if (wants(script, Expectation::kTermination)) {
+    check(run, Expectation::kTermination, growth, "every correct chain grew");
+  }
+  if (wants(script, Expectation::kAgreement)) {
+    check(run, Expectation::kAgreement, prefix_ok, "chains prefix-comparable");
+  }
+  if (wants(script, Expectation::kNoViolations)) {
+    check(run, Expectation::kNoViolations, prefix_ok,
+          run.violations.empty() ? "chain-prefix invariant clean" : run.violations.front());
+  }
+}
+
+void summarize_script_run(ScriptRun& run, const ScenarioScript& script) {
+  std::ostringstream summary;
+  summary << to_string(script.protocol) << " n=" << script.config.n_correct << "+"
+          << script.config.n_byzantine << " seed=" << script.config.seed
+          << " rounds=" << run.rounds << " msgs=" << run.messages << " — "
+          << (run.all_satisfied ? "OK" : "EXPECTATION FAILED");
+  run.summary = summary.str();
+}
 
 ScriptRun run_script(const ScenarioScript& script) { return run_script(script, ScriptOptions{}); }
 
@@ -679,13 +702,13 @@ ScriptRun run_script(const ScenarioScript& script, const ScriptOptions& options)
       result = script.chaos_phases.empty() && script.churn_events.empty() &&
                        script.liveness_budget <= 0
                    ? run_consensus_like(script, options)
-                   : run_chaos_consensus(script, options);
+                   : run_instrumented_script(script, options);
       break;
     case ScriptProtocol::kKing:
       result = run_consensus_like(script, options);
       break;
     case ScriptProtocol::kTotalOrder:
-      result = run_chaos_totalorder(script, options);
+      result = run_instrumented_script(script, options);
       break;
     case ScriptProtocol::kRb: {
       const auto run = run_reliable_broadcast(script.config, script.inputs.front(),
@@ -762,12 +785,7 @@ ScriptRun run_script(const ScenarioScript& script, const ScriptOptions& options)
     }
   }
 
-  std::ostringstream summary;
-  summary << to_string(script.protocol) << " n=" << script.config.n_correct << "+"
-          << script.config.n_byzantine << " seed=" << script.config.seed
-          << " rounds=" << result.rounds << " msgs=" << result.messages << " — "
-          << (result.all_satisfied ? "OK" : "EXPECTATION FAILED");
-  result.summary = summary.str();
+  summarize_script_run(result, script);
   return result;
 }
 

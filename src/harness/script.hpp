@@ -60,6 +60,7 @@
 // every expectation.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -68,8 +69,11 @@
 #include <vector>
 
 #include "common/chaos.hpp"
+#include "common/invariants.hpp"
+#include "common/observer.hpp"
 #include "common/trace.hpp"
 #include "core/rb_backend.hpp"
+#include "core/total_order.hpp"
 #include "harness/scenario.hpp"
 
 namespace idonly {
@@ -229,6 +233,60 @@ struct ScriptOptions {
   /// are bit-identical for every value, so this is purely a speed knob.
   unsigned threads = 1;
 };
+
+// ------------------------------------------- consensus/totalorder runs --
+// The in-process runner (run_script) and the distributed one (dist/) build
+// the same processes and judge the same run through these functions, so a
+// sharded run's ScriptRun is byte-identical to the in-process one.
+
+/// The correct-process factory of a consensus or totalorder script: a
+/// consensus node takes inputs[index % size]; a totalorder node is a
+/// founder.
+[[nodiscard]] CorrectFactory script_process_factory(const ScenarioScript& script);
+
+/// The churn joiner factory of the same runs: a consensus joiner's input
+/// continues the input cycle past the initial correct nodes; a totalorder
+/// joiner is not a founder.
+[[nodiscard]] ChurnDriver::JoinerFactory script_joiner_factory(const ScenarioScript& script,
+                                                               const Scenario& scenario);
+
+/// Prime the initial correct processes once they are built: a consensus
+/// node reports its protocol events to `observer` (when non-null), the i-th
+/// totalorder node submits events i*10 .. i*10+3. `find` returns null for an
+/// id the caller does not hold.
+void prime_script_processes(const ScenarioScript& script, const Scenario& scenario,
+                            const std::function<Process*(NodeId)>& find,
+                            ProtocolObserver* observer);
+
+/// The invariant monitor of a consensus run. Its validity probe (decided
+/// value ∈ the initial correct nodes' inputs — STRONG validity) arms only
+/// when the script expects validity: with split real-valued inputs and f at
+/// the tolerance ceiling, A3's coordinator-adoption step can legitimately
+/// land on an adversary value (EXPERIMENTS.md E11). A `liveness` budget
+/// arms the bounded-termination probe.
+[[nodiscard]] std::unique_ptr<InvariantMonitor> make_script_monitor(const ScenarioScript& script,
+                                                                    const Scenario& scenario);
+
+/// Consensus verdicts over the tracked nodes: termination, agreement,
+/// validity (the decision is an initial correct node's input) and
+/// no-violations, the last from `monitor` (already finished). `output_of`
+/// returns the node's decision, nullopt when it has none. Copies the
+/// monitor's violations into `run`.
+void judge_consensus(ScriptRun& run, const ScenarioScript& script, const Scenario& scenario,
+                     const std::vector<NodeId>& tracked,
+                     const std::function<std::optional<Value>(NodeId)>& output_of,
+                     bool all_decided, const InvariantMonitor& monitor);
+
+/// Totalorder verdicts over the tracked nodes: chain growth (termination)
+/// and chain prefix (agreement, no-violations). `chain_of` returns null for
+/// a node the run does not hold. Appends one violation per non-prefix chain.
+void judge_totalorder(ScriptRun& run, const ScenarioScript& script,
+                      const std::vector<NodeId>& tracked,
+                      const std::function<const std::vector<ChainEntry>*(NodeId)>& chain_of);
+
+/// Fill `run.summary`: "<protocol> n=<correct>+<byzantine> seed=<seed>
+/// rounds=<rounds> msgs=<messages> — OK" (or "EXPECTATION FAILED").
+void summarize_script_run(ScriptRun& run, const ScenarioScript& script);
 
 /// Execute a parsed script and evaluate its expectations.
 [[nodiscard]] ScriptRun run_script(const ScenarioScript& script);

@@ -23,11 +23,11 @@
 // attached recorder gets one link-verdict record per link (kLinkClean
 // included) but never changes what is routed.
 //
-// SyncSimulator runs one Router per parallel merge lane, ShardEngine one for
-// its single merge; both feed it the round's messages in global send order
-// (ascending sender id, then outbox position), so counters, verdicts and
-// staged side effects are the same for every thread and shard count
-// (DESIGN.md §8, §12).
+// SyncSimulator runs one Router per parallel merge lane — in-process, or on a
+// shard worker's slice of ids with the peers' sends merged in — and feeds it
+// the round's messages in global send order (ascending sender id, then
+// outbox position), so counters, verdicts and staged side effects are the
+// same for every thread and shard count (DESIGN.md §8, §12).
 #pragma once
 
 #include <cstdint>

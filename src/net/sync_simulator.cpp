@@ -50,11 +50,12 @@ void SyncSimulator::run_tasks(std::size_t count, const std::function<void(std::s
   }
 }
 
-void SyncSimulator::merge_lane(std::size_t lane_index) {
+void SyncSimulator::merge_lane(std::size_t lane_index,
+                               std::span<const std::vector<Send>> remote_streams) {
   // One lane of the parallel merge. The lane owns a contiguous range of
   // destination slots: their mailboxes, their link counters, and their
   // trace rings are touched by THIS lane only. It walks every message of the
-  // round in global send order (ascending sender slot, then outbox position)
+  // round in global send order (ascending sender id, then outbox position)
   // and applies exactly the effects it owns, so each receiver observes the
   // same deposit order as the sequential engine — regardless of how the
   // other lanes interleave in real time.
@@ -64,35 +65,69 @@ void SyncSimulator::merge_lane(std::size_t lane_index) {
   BroadcastLane& segment = lanes_[fill_lane_].segment(lane_index);
   arena.router.begin_round(round_, chaos_.get(), &delay_hook_, recorder_ && chaos_,
                            std::span(targets_).subspan(begin, end - begin));
-  const std::size_t n = dispatches_.size();
-
-  for (std::size_t s = 0; s < n; ++s) {
-    Dispatch& sender = dispatches_[s];
-    const bool own_sender = s >= begin && s < end;
-    if (!own_sender && sender.outbox.empty()) continue;
-    for (std::size_t m = 0; m < sender.outbox.size(); ++m) {
-      const Outgoing& out = sender.outbox[m];
-      const MessageRef& ref = sender.refs[m];
-      // Two deposit keys per global message ordinal: a chaos duplicate copy
-      // takes `key`, the primary copy `key + 1` — duplicate-before-primary,
-      // exactly the sequential engine's deposit order. Only relative order
-      // is observable, so the gaps left by unfaulted messages are free.
-      const std::uint64_t key = seq_ + 2 * (sender.msg_base + m);
-      if (own_sender) {
-        arena.messages.sent[static_cast<std::size_t>(ref->kind)] += 1;
-        arena.stage.fanout.unique_payloads += 1;
-        if (tracing_) arena.debug_stage.push_back(TraceEntry{round_, sender.id, out.to, ref.get()});
-        if (recorder_) arena.stage.trace.push_back(make_send_record(sender.id, round_, out.to));
-      }
-      // Segments cover ascending sender ranges, so seal()'s concatenation of
-      // the owning lanes' deposits is globally key-ordered.
-      arena.router.route(arena.stage, ref, out.to, key, own_sender ? &segment : nullptr,
-                         own_sender);
+  std::uint64_t ordinal = 0;  // global send ordinal of the next message
+  const auto route = [&](const Send& send, BroadcastLane* lane, bool own_sender) {
+    // Two deposit keys per global message ordinal: a chaos duplicate copy
+    // takes `key`, the primary copy `key + 1` — duplicate-before-primary,
+    // exactly the sequential engine's deposit order. Only relative order
+    // is observable, so the gaps left by unfaulted messages (or by traffic
+    // a slice never sees) are free.
+    const std::uint64_t key = seq_ + 2 * ordinal++;
+    if (own_sender) {
+      const NodeId from = send.ref->sender;
+      arena.messages.sent[static_cast<std::size_t>(send.ref->kind)] += 1;
+      arena.stage.fanout.unique_payloads += 1;
+      if (tracing_) arena.debug_stage.push_back(TraceEntry{round_, from, send.to, send.ref.get()});
+      if (recorder_) arena.stage.trace.push_back(make_send_record(from, round_, send.to));
     }
+    arena.router.route(arena.stage, send.ref, send.to, key, lane, own_sender);
+  };
+
+  // K-way merge on sender id: the local senders' blocks (dispatches_,
+  // ascending id) and each remote stream (ascending by sender, senders
+  // disjoint) — taking the smallest head sender replays the global order.
+  // Without remote streams this is the plain walk over dispatches_.
+  std::vector<std::size_t> heads(remote_streams.size(), 0);  // next entry of each stream
+  const std::size_t n = dispatches_.size();
+  for (std::size_t s = 0;;) {
+    std::size_t pick = remote_streams.size();
+    for (std::size_t r = 0; r < remote_streams.size(); ++r) {
+      if (heads[r] == remote_streams[r].size()) continue;
+      const NodeId sender = remote_streams[r][heads[r]].ref->sender;
+      if ((s == n || sender < dispatches_[s].id) &&
+          (pick == remote_streams.size() ||
+           sender < remote_streams[pick][heads[pick]].ref->sender)) {
+        pick = r;
+      }
+    }
+    if (pick < remote_streams.size()) {
+      // A remote sender's whole block: every broadcast enters the lane (the
+      // sender side is accounted on its own slice), a unicast reaches only
+      // a local receiver.
+      const std::vector<Send>& stream = remote_streams[pick];
+      const NodeId sender = stream[heads[pick]].ref->sender;
+      for (; heads[pick] < stream.size() && stream[heads[pick]].ref->sender == sender;
+           ++heads[pick]) {
+        route(stream[heads[pick]], &segment, false);
+      }
+      continue;
+    }
+    if (s == n) break;
+    const Dispatch& sender = dispatches_[s];
+    // Segments cover ascending sender ranges, so seal()'s concatenation of
+    // the owning lanes' deposits is globally key-ordered.
+    const bool own_sender = s >= begin && s < end;
+    for (const Send& send : sender.sends) route(send, own_sender ? &segment : nullptr, own_sender);
+    ++s;
   }
 }
 
 void SyncSimulator::step() {
+  begin_round();
+  finish_round({});
+}
+
+void SyncSimulator::begin_round() {
   // Departures announced during the previous round take effect before this
   // one begins: messages the leaver already sent were routed then, but it
   // neither acts nor receives from here on. A node that was added and
@@ -136,8 +171,8 @@ void SyncSimulator::step() {
       },
       seq_, metrics_.fanout);
 
-  // Flip lanes: the lane sealed last step is consumed by every member this
-  // step; this step's merge lanes fill the other.
+  // Flip lanes: the lane sealed last round is consumed by every member this
+  // round; this round's merge lanes fill the other.
   ShardedLane& deliver_lane = lanes_[fill_lane_];
   fill_lane_ ^= 1;
 
@@ -154,8 +189,7 @@ void SyncSimulator::step() {
     dispatch.id = id;
     dispatch.member = &member;
     dispatch.outbox.clear();
-    dispatch.refs.clear();
-    dispatch.msg_base = 0;
+    dispatch.sends.clear();
     dispatch.became_done = false;
   }
   const std::size_t n = dispatches_.size();
@@ -164,31 +198,31 @@ void SyncSimulator::step() {
   // delay hook is an arbitrary (possibly stateful) std::function, so it must
   // see deposits in the sequential order — collapse the merge to one lane
   // (the fill phase still parallelises; the hook only runs in the merge).
-  std::size_t lane_count =
+  lane_count_ =
       (executor_ != nullptr && delay_hook_ == nullptr) ? std::min<std::size_t>(threads_, n) : 1;
-  if (lane_count == 0) lane_count = 1;
-  lane_starts_.assign(lane_count + 1, 0);
-  for (std::size_t l = 0; l <= lane_count; ++l) lane_starts_[l] = n * l / lane_count;
-  if (arenas_.size() < lane_count) arenas_.resize(lane_count);
-  for (std::size_t l = 0; l < lane_count; ++l) {
+  if (lane_count_ == 0) lane_count_ = 1;
+  lane_starts_.assign(lane_count_ + 1, 0);
+  for (std::size_t l = 0; l <= lane_count_; ++l) lane_starts_[l] = n * l / lane_count_;
+  if (arenas_.size() < lane_count_) arenas_.resize(lane_count_);
+  for (std::size_t l = 0; l < lane_count_; ++l) {
     LaneArena& arena = arenas_[l];
     arena.messages = MessageCounters{};
     arena.stage.clear();
     arena.debug_stage.clear();
   }
-  lanes_[fill_lane_].reset(lane_count);
+  lanes_[fill_lane_].reset(lane_count_);
 
   // Phase 1 — parallel inbox assembly, one task per lane: every member's
   // inbox is built BEFORE anyone steps (lock-step semantics, no same-round
   // delivery). Each lane collects only its own slots' mailboxes against the
   // sealed (read-only) deliver lane, staging delivery records and counters
   // in its arena.
-  run_tasks(lane_count, [&](std::size_t l) {
+  run_tasks(lane_count_, [&](std::size_t l) {
     LaneArena& arena = arenas_[l];
     for (std::size_t s = lane_starts_[l]; s < lane_starts_[l + 1]; ++s) {
       Dispatch& dispatch = dispatches_[s];
       Member& member = *dispatch.member;
-      // A member admitted at the start of THIS step was not a receiver of
+      // A member admitted at the start of THIS round was not a receiver of
       // last round's broadcasts — it gets no lane, and its mailbox is empty.
       const ShardedLane* lane = member.joined_round == round_ ? nullptr : &deliver_lane;
       dispatch.inbox =
@@ -206,7 +240,7 @@ void SyncSimulator::step() {
     // so per-ring order (what every export is built from) is lane-local and
     // thread-count-independent; flushing in lane order keeps it fully
     // deterministic.
-    for (std::size_t l = 0; l < lane_count; ++l) {
+    for (std::size_t l = 0; l < lane_count_; ++l) {
       recorder_->record_batch(arenas_[l].stage.trace);
       arenas_[l].stage.trace.clear();
     }
@@ -223,31 +257,38 @@ void SyncSimulator::step() {
     RoundInfo info{round_, round_ - member.joined_round + 1};
     member.process->on_round(info, dispatch.inbox, dispatch.outbox);
     dispatch.became_done = !was_done && member.process->done();
-    dispatch.refs.reserve(dispatch.outbox.size());
+    dispatch.sends.reserve(dispatch.outbox.size());
     for (Outgoing& out : dispatch.outbox) {
       Message msg = std::move(out.msg);
       msg.sender = dispatch.id;  // unforgeable identity
-      dispatch.refs.push_back(MessageRef::wrap(std::move(msg)));
+      dispatch.sends.push_back(Send{out.to, MessageRef::wrap(std::move(msg))});
     }
   });
+}
 
-  // Sequential prefix pass: assign every message its global send ordinal.
-  // All deposit keys derive from these, so they are thread-count-invariant.
+void SyncSimulator::finish_round(std::span<const std::vector<Send>> remote_streams) {
+  // Every send ordinal of the round — local and remote — gets its deposit
+  // keys off seq_, so they are thread- and slice-count-invariant.
   std::uint64_t total_msgs = 0;
-  for (Dispatch& dispatch : dispatches_) {
-    dispatch.msg_base = total_msgs;
-    total_msgs += dispatch.outbox.size();
-  }
+  for (const Dispatch& dispatch : dispatches_) total_msgs += dispatch.sends.size();
+  for (const std::vector<Send>& stream : remote_streams) total_msgs += stream.size();
 
   // Phase 3 — parallel lane merge: no sequential replay pass. Each lane
-  // routes the whole round's traffic for its own destination slots.
-  run_tasks(lane_count, [this](std::size_t l) { merge_lane(l); });
+  // routes the whole round's traffic for its own destination slots. A round
+  // fed remote streams merges in one lane (the phase-1 arenas still fold).
+  std::size_t merge_lanes = lane_count_;
+  if (!remote_streams.empty() && merge_lanes > 1) {
+    merge_lanes = 1;
+    lane_starts_.assign({0, dispatches_.size()});
+    lanes_[fill_lane_].reset(1);
+  }
+  run_tasks(merge_lanes, [&](std::size_t l) { merge_lane(l, remote_streams); });
 
   // Sequential epilogue: fold the lane arenas into the shared engine state
   // in lane order (deterministic), advance the global send stamp past every
   // key handed out this round, and seal the fill lane so next round's
   // concurrent collectors see one flat immutable view.
-  for (std::size_t l = 0; l < lane_count; ++l) {
+  for (std::size_t l = 0; l < lane_count_; ++l) {
     LaneArena& arena = arenas_[l];
     for (std::size_t k = 0; k < MessageCounters::kKinds; ++k) {
       metrics_.messages.sent[k] += arena.messages.sent[k];

@@ -20,11 +20,20 @@
 // contiguous per-worker merge LANES and every lane routes its receivers'
 // traffic concurrently through a Router (net/router.hpp). There is no
 // sequential replay pass — order-sensitive effects are reconstructed from
-// precomputed deterministic keys (per-slab prefix sums over the global send
-// order, per-sender link counters) or staged per lane and committed in lane
-// order, so sequence stamps, chaos verdicts, and trace records are
-// bit-identical to the sequential engine for every thread count (DESIGN.md
-// §8 gives the argument).
+// precomputed deterministic keys (send ordinals over the global send order,
+// per-sender link counters) or staged per lane and committed in lane order,
+// so sequence stamps, chaos verdicts, and trace records are bit-identical to
+// the sequential engine for every thread count (DESIGN.md §8 gives the
+// argument).
+//
+// One engine, any slice of ids: a round is begin_round() (membership,
+// delayed release, inbox assembly, stepping) then finish_round(remote
+// streams) (the merge). step() is begin_round() + finish_round({}). A shard
+// worker (dist/shard_worker.hpp) holds a simulator that owns only its slice
+// of the ids, ships for_each_local_send()'s traffic to its peers, and hands
+// theirs back as remote streams; the merge interleaves them with the local
+// sends by sender id, so every process sees the inbox it would see in one
+// simulator over all ids (DESIGN.md §12).
 #pragma once
 
 #include <cstdint>
@@ -33,6 +42,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -62,8 +72,40 @@ class SyncSimulator {
   /// this round are still delivered). No-op when the id is unknown.
   void remove_process(NodeId id);
 
-  /// Execute one synchronous round.
+  /// Execute one synchronous round: begin_round() then finish_round({}).
   void step();
+
+  /// One message of a round's traffic as the merge sees it: `to` empty →
+  /// broadcast. The sender is stamped inside the ref'd message.
+  struct Send {
+    std::optional<NodeId> to;
+    MessageRef ref;
+  };
+
+  /// First half of a round: removals, joins, delayed release, lane flip,
+  /// inbox assembly, and stepping every local process. The round's local
+  /// sends are then readable through for_each_local_send().
+  void begin_round();
+
+  /// Call `fn(const Send&)` for every send of the round begun last, in
+  /// global send order restricted to the local processes (ascending sender
+  /// id, then outbox position). Valid until finish_round() returns.
+  template <typename Fn>
+  void for_each_local_send(Fn&& fn) const {
+    for (const Dispatch& dispatch : dispatches_) {
+      for (const Send& send : dispatch.sends) fn(send);
+    }
+  }
+
+  /// Second half: route the round's global traffic — the local sends merged
+  /// with `remote_streams` in ascending sender id, then outbox position —
+  /// into the broadcast lane and the local mailboxes, then fold the round's
+  /// counters, verdicts and records. Each remote stream is ascending by
+  /// sender; sender sets are pairwise disjoint and disjoint from the local
+  /// processes; the order of the streams is irrelevant. A remote broadcast
+  /// enters the lane, and a remote unicast reaches only a local receiver.
+  /// A round fed remote streams merges in one lane.
+  void finish_round(std::span<const std::vector<Send>> remote_streams);
 
   /// Shard the per-round process stepping across `threads` threads (1 =
   /// sequential, the default). The observable execution — delivery order,
@@ -172,8 +214,7 @@ class SyncSimulator {
     Member* member = nullptr;
     std::span<const Message> inbox;
     std::vector<Outgoing> outbox;     // private slab filled by on_round
-    std::vector<MessageRef> refs;     // outbox wrapped (stamped + hashed), same order
-    std::uint64_t msg_base = 0;       // global send ordinal of outbox[0] this round
+    std::vector<Send> sends;          // outbox wrapped (stamped + hashed), same order
     bool became_done = false;
   };
 
@@ -192,11 +233,11 @@ class SyncSimulator {
   /// Run `fn(0..count)` on the pool when it exists (and count warrants it),
   /// inline otherwise.
   void run_tasks(std::size_t count, const std::function<void(std::size_t)>& fn);
-  /// Phase 3 for one lane: walk every message in global send order and apply
-  /// the effects this lane owns (sender-side bookkeeping and lane deposits
-  /// for its senders, verdicts and exceptions for its receivers). See
-  /// DESIGN.md §8.
-  void merge_lane(std::size_t lane_index);
+  /// Phase 3 for one lane: walk every message in global send order — local
+  /// and remote — and apply the effects this lane owns (sender-side
+  /// bookkeeping and lane deposits for its senders, verdicts and exceptions
+  /// for its receivers). See DESIGN.md §8.
+  void merge_lane(std::size_t lane_index, std::span<const std::vector<Send>> remote_streams);
 
   std::map<NodeId, Member> members_;                 // ordered → deterministic stepping
   std::vector<std::unique_ptr<Process>> pending_joins_;
@@ -205,6 +246,7 @@ class SyncSimulator {
   std::vector<RouteTarget> targets_;                 // dispatches_' receivers, same order
   std::vector<LaneArena> arenas_;                    // lane arenas, reused across rounds
   std::vector<std::size_t> lane_starts_;  // lane l owns slots [starts[l], starts[l+1])
+  std::size_t lane_count_ = 1;            // lanes (arenas) planned by begin_round
   unsigned threads_ = 1;
   std::unique_ptr<ParallelExecutor> executor_;       // live iff threads_ > 1
   mutable std::vector<NodeId> member_ids_cache_;

@@ -1,8 +1,8 @@
 // ChaosSchedule decorator for the runtime's byte transports.
 //
-// Unlike FaultyTransport (an independent coin per frame, send-side), this
-// decorator keys every fault off the shared deterministic schedule so a
-// runtime run reproduces the exact fault trace of a simulator run. Faults
+// The runtime's one fault injector. It keys every fault off the shared
+// deterministic schedule, never an independent coin per frame, so a runtime
+// run reproduces the exact fault trace of a simulator run. Faults
 // are applied on the RECEIVE side: the decorator knows its own endpoint id
 // (`self` = the link's `to`) and recovers the sender and sent round from the
 // frame itself — the varint round header the RoundDriver prepends plus the

@@ -16,7 +16,6 @@
 
 #include "core/consensus.hpp"
 #include "dist/shard_coordinator.hpp"
-#include "dist/shard_engine.hpp"
 #include "dist/shard_plan.hpp"
 #include "dist/shard_trace.hpp"
 #include "dist/shard_wire.hpp"
@@ -306,7 +305,7 @@ struct InProcessFleet {
   }
 };
 
-/// Replays run_chaos_consensus's loop policy over an in-process fleet and
+/// Replays run_script's instrumented loop policy over an in-process fleet and
 /// returns the spliced canonical trace (and, on request, every record).
 std::string run_fleet_canonical(const std::string& text, std::uint32_t shards,
                                 Round* rounds_out = nullptr,
@@ -441,12 +440,120 @@ TEST(ShardWorkerParity, ChaosChurnDeliveriesMatchSingleProcess) {
   }
 }
 
+// ------------------------------------------ interleaved slice merge --
+
+// The replay script with a chaos window on top of the lane dedup: drops,
+// duplicates and delays leave per-receiver exceptions, and the canonical
+// trace carries link verdicts.
+const std::string kReplayChaosScript =
+    std::string(kReplayScript) + "chaos 4-7 drop=0.05 dup=0.10 delay=0.05:2\n";
+
+struct SliceRun {
+  std::map<NodeId, std::vector<std::pair<Round, NodeId>>> deliveries;
+  std::uint64_t dedup_hits = 0;
+  std::string canonical;
+};
+
+/// Runs `text` for `rounds` rounds over `slices` SyncSimulators, the i-th
+/// node of the sorted id list on slice i % slices — interleaved ids, unlike
+/// ShardPlan's contiguous ranges. Every round each slice gets every other
+/// slice's local sends as remote streams. One slice is the plain step().
+SliceRun run_slices(const std::string& text, std::size_t slices, unsigned threads,
+                    Round rounds) {
+  const ScenarioScript script = parse_or_die(text);
+  const Scenario scenario = make_scenario(script.config);
+  const std::vector<NodeId> ids = scenario.all_ids();
+  std::vector<std::unique_ptr<SyncSimulator>> sims;
+  std::vector<std::shared_ptr<TraceRecorder>> recorders;
+  for (std::size_t k = 0; k < slices; ++k) {
+    sims.push_back(std::make_unique<SyncSimulator>());
+    recorders.push_back(std::make_shared<TraceRecorder>(TraceEngine::kSync));
+    sims.back()->set_threads(threads);
+    sims.back()->set_trace_recorder(recorders.back());
+    if (!script.chaos_phases.empty()) {
+      sims.back()->set_chaos(std::make_shared<ChaosSchedule>(
+          materialize_chaos_plan(script.chaos_phases, ids), script.config.seed));
+    }
+  }
+  build_processes(scenario, script_process_factory(script), [&](std::unique_ptr<Process> p) {
+    const auto index = static_cast<std::size_t>(
+        std::lower_bound(ids.begin(), ids.end(), p->id()) - ids.begin());
+    sims[index % slices]->add_process(std::move(p));
+  });
+
+  for (Round r = 0; r < rounds; ++r) {
+    if (slices == 1) {
+      sims.front()->step();
+      continue;
+    }
+    std::vector<std::vector<SyncSimulator::Send>> sends(slices);
+    for (std::size_t k = 0; k < slices; ++k) {
+      sims[k]->begin_round();
+      sims[k]->for_each_local_send(
+          [&](const SyncSimulator::Send& send) { sends[k].push_back(send); });
+    }
+    for (std::size_t k = 0; k < slices; ++k) {
+      std::vector<std::vector<SyncSimulator::Send>> remote;
+      for (std::size_t j = 0; j < slices; ++j) {
+        if (j != k) remote.push_back(sends[j]);
+      }
+      sims[k]->finish_round(remote);
+    }
+  }
+
+  SliceRun out;
+  TraceRecorder merged(TraceEngine::kSync);
+  for (std::size_t k = 0; k < slices; ++k) {
+    out.dedup_hits += sims[k]->metrics().fanout.dedup_hits;
+    const std::vector<TraceRecord> records = recorders[k]->snapshot();
+    for (const TraceRecorder::RingStats& stats : recorders[k]->ring_stats()) {
+      std::vector<TraceRecord> ring;
+      for (const TraceRecord& rec : records) {
+        if (rec.node == stats.node) ring.push_back(rec);
+      }
+      merged.absorb_ring(stats.node, std::move(ring), stats.next_seq, stats.evicted);
+    }
+  }
+  out.deliveries = deliveries_of(merged.snapshot());
+  out.canonical = merged.canonical_jsonl();
+  return out;
+}
+
+TEST(SliceMerge, InterleavedSlicesMatchOneSimulatorAtEveryThreadCount) {
+  // The slice merge k-way merges the local sends with the remote streams on
+  // sender id; with odd/even ids every sender block alternates streams.
+  constexpr Round kRounds = 14;
+  for (const std::string& text : {std::string(kReplayScript), kReplayChaosScript}) {
+    const bool chaos = text == kReplayChaosScript;
+    const SliceRun reference = run_slices(text, 1, 1, kRounds);
+    ASSERT_EQ(reference.deliveries.size(), 11u);
+    ASSERT_GT(reference.dedup_hits, 0u);
+    ASSERT_EQ(reference.canonical.empty(), !chaos);
+    for (const unsigned threads : {1u, 4u}) {
+      const SliceRun sliced = run_slices(text, 2, threads, kRounds);
+      EXPECT_EQ(sliced.deliveries, reference.deliveries) << "chaos " << chaos << " threads "
+                                                         << threads;
+      EXPECT_EQ(sliced.dedup_hits, reference.dedup_hits)
+          << "chaos " << chaos << " threads " << threads;
+      EXPECT_EQ(sliced.canonical, reference.canonical)
+          << "chaos " << chaos << " threads " << threads;
+    }
+  }
+}
+
 // ----------------------------------------------- membership parity --
 
-void run_one_round(SyncSimulator& sim) { sim.step(); }
-void run_one_round(ShardEngine& engine) {
-  engine.begin_round();
-  engine.finish_round({});
+/// How a test drives one round: the in-process step(), or the two halves a
+/// shard worker drives.
+enum class RoundDrive { kStep, kSplit };
+
+void run_one_round(SyncSimulator& sim, RoundDrive drive) {
+  if (drive == RoundDrive::kStep) {
+    sim.step();
+  } else {
+    sim.begin_round();
+    sim.finish_round({});
+  }
 }
 
 /// Broadcasts its id every round and records what it hears.
@@ -465,28 +572,30 @@ class Beacon final : public Process {
 
 /// Removes node 2, re-adds a fresh process under id 2 in the same round,
 /// and returns what the replacement heard and its local rounds.
-template <typename Engine>
-std::pair<std::vector<std::pair<Round, NodeId>>, std::vector<Round>> reuse_leaving_id() {
-  Engine engine;
+std::pair<std::vector<std::pair<Round, NodeId>>, std::vector<Round>> reuse_leaving_id(
+    RoundDrive drive) {
+  SyncSimulator engine;
   engine.add_process(std::make_unique<Beacon>(1));
   engine.add_process(std::make_unique<Beacon>(2));
-  run_one_round(engine);
+  run_one_round(engine, drive);
   engine.remove_process(2);
   auto fresh = std::make_unique<Beacon>(2);
   Beacon* replacement = fresh.get();
   EXPECT_NO_THROW(engine.add_process(std::move(fresh)));
   // A second add under the same id is a real duplicate again.
   EXPECT_THROW(engine.add_process(std::make_unique<Beacon>(2)), std::invalid_argument);
-  run_one_round(engine);
-  run_one_round(engine);
+  run_one_round(engine, drive);
+  run_one_round(engine, drive);
   EXPECT_EQ(engine.member_count(), 2u);
   EXPECT_EQ(engine.find(2), replacement);
   return {replacement->heard, replacement->locals};
 }
 
 TEST(EngineParity, ReAddingAnIdQueuedForRemovalReplacesTheNodeOnBothEngines) {
-  const auto sync = reuse_leaving_id<SyncSimulator>();
-  const auto shard = reuse_leaving_id<ShardEngine>();
+  // step() against the begin_round() + finish_round({}) pair a shard worker
+  // drives: one round body, so both behave identically.
+  const auto sync = reuse_leaving_id(RoundDrive::kStep);
+  const auto shard = reuse_leaving_id(RoundDrive::kSplit);
   EXPECT_EQ(shard, sync);
   // Joined for round 2: local rounds 1, 2; it hears round 2's beacons only.
   EXPECT_EQ(sync.second, (std::vector<Round>{1, 2}));
